@@ -66,7 +66,7 @@ void tightness_witness() {
   const kc::mr::SimCluster cluster(2);
   const auto result = kc::mrg(oracle, all, 4, cluster, {});
   const double value =
-      kc::eval::covering_radius(oracle, all, result.centers, false).radius;
+      kc::eval::covering_radius(oracle, all, result.centers).radius;
   const double opt_value = oracle.to_reported(opt.radius_comparable);
   std::printf(
       "[2] tightness witness (12 points, k=4, m=2, block partition):\n"
@@ -114,7 +114,7 @@ void adversarial_search(const BenchOptions& options, int trials) {
         continue;  // degenerate partition (k*m >= |S|)
       }
       const double value =
-          kc::eval::covering_radius(oracle, all, result.centers, false).radius;
+          kc::eval::covering_radius(oracle, all, result.centers).radius;
       worst_ratio = std::max(worst_ratio, value / opt_value);
       if (attempt == 0) {
         worst_random_only = std::max(worst_random_only, value / opt_value);

@@ -10,8 +10,8 @@
 //   --csv=PATH     also emit the table as CSV
 //   --machines=M   simulated cluster size (paper: 50)
 //   --seed=S       root seed
-//   --exec=E       execution backend: seq (default), openmp, pool
-//   --threads=N    host threads for openmp/pool (0 = hardware default)
+//   --exec=E       execution backend: seq (default), pool
+//   --threads=N    host threads for pool (0 = hardware default)
 // Measured cells are printed next to the paper's published numbers
 // where the paper reports that cell. The backend changes host wall
 // time only; every simulated metric is backend-invariant.
@@ -165,9 +165,9 @@ inline std::vector<AlgoConfig> standard_algos(const BenchOptions& options) {
   return algos;
 }
 
-/// The execution backends this build can sweep (used by --sweep-exec):
-/// sequential, the persistent thread pool, and OpenMP when compiled in.
-/// Each entry carries a live backend so pools persist across the sweep.
+/// The execution backends --sweep-exec compares: sequential and the
+/// persistent thread pool. Each entry carries a live backend so the
+/// pool persists across the sweep.
 inline std::vector<std::pair<std::string,
                              std::shared_ptr<kc::exec::ExecutionBackend>>>
 backend_sweep(const BenchOptions& options) {
@@ -175,9 +175,7 @@ backend_sweep(const BenchOptions& options) {
                         std::shared_ptr<kc::exec::ExecutionBackend>>>
       sweep;
   for (const auto kind : {kc::exec::BackendKind::Sequential,
-                          kc::exec::BackendKind::ThreadPool,
-                          kc::exec::BackendKind::OpenMP}) {
-    if (!kc::exec::backend_available(kind)) continue;
+                          kc::exec::BackendKind::ThreadPool}) {
     auto backend = kc::exec::make_backend(kind, options.threads);
     sweep.emplace_back(std::string(backend->name()), std::move(backend));
   }

@@ -4,7 +4,7 @@
 //               [--metric=l2|l1|linf] [--machines=50] [--phi=8]
 //               [--epsilon=0.1] [--drop-last-column] [--max-rows=N]
 //               [--out=centers.csv] [--assign=labels.csv] [--seed=S]
-//               [--exec=seq|openmp|pool] [--threads=N] [--trace]
+//               [--exec=seq|pool] [--threads=N] [--trace]
 //               [--budget=EVALS]
 //
 // --algo accepts any name in the algorithm registry (--list-algos
@@ -33,7 +33,7 @@ void usage(const char* prog) {
       "          [--metric=l2|l1|linf] [--machines=50] [--phi=8] "
       "[--epsilon=0.1]\n"
       "          [--drop-last-column] [--max-rows=N] [--out=centers.csv]\n"
-      "          [--assign=labels.csv] [--seed=S] [--exec=seq|openmp|pool]\n"
+      "          [--assign=labels.csv] [--seed=S] [--exec=seq|pool]\n"
       "          [--threads=N] [--trace] [--budget=EVALS]\n",
       prog);
 }

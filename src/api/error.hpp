@@ -18,7 +18,7 @@ namespace kc::api {
 enum class ErrorKind {
   BadRequest,          ///< invalid request: bad k, unknown algorithm,
                        ///< mismatched options variant, bad option values
-  UnsupportedBackend,  ///< this build cannot provide the requested backend
+  UnsupportedBackend,  ///< the requested backend cannot be constructed
   BudgetExceeded,      ///< the distance-evaluation budget ran out
   Cancelled,           ///< the request's cancellation token fired
 };

@@ -96,11 +96,6 @@ std::shared_ptr<exec::ExecutionBackend> Solver::resolve_backend(
       cached_pin_ == request.exec.pin) {
     return cached_;
   }
-  if (!exec::backend_available(request.exec.kind)) {
-    throw Error(ErrorKind::UnsupportedBackend,
-                "this build cannot provide backend '" +
-                    std::string(exec::to_string(request.exec.kind)) + "'");
-  }
   try {
     cached_ = exec::make_backend(request.exec.kind, request.exec.threads,
                                  request.exec.pin);

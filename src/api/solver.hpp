@@ -41,7 +41,8 @@ class Solver {
   ///   BadRequest          missing/empty points, k == 0, unknown
   ///                       algorithm, mismatched options variant, or
   ///                       option values the algorithm rejects
-  ///   UnsupportedBackend  this build cannot provide ExecSpec::kind
+  ///   UnsupportedBackend  ExecSpec::kind names no backend, or the
+  ///                       backend failed to start
   ///   BudgetExceeded      the eval budget ran out (enforced at chunk
   ///                       granularity inside the bulk kernels — even
   ///                       one huge scan stops within ~kGateEvals pair

@@ -100,8 +100,8 @@ exec::BackendKind exec_backend(Args& args, exec::BackendKind fallback) {
   if (!value || value->empty()) return fallback;
   const auto kind = exec::parse_backend(*value);
   if (!kind) {
-    throw std::invalid_argument("--exec expects seq, openmp or pool, got '" +
-                                *value + "'");
+    throw std::invalid_argument("--exec expects seq or pool, got '" + *value +
+                                "'");
   }
   return *kind;
 }

@@ -54,7 +54,7 @@ class Args {
   std::vector<std::string> positional_;
 };
 
-/// Parses --exec={seq,sequential,omp,openmp,pool,threadpool}. Throws
+/// Parses --exec={seq,sequential,pool,threadpool}. Throws
 /// std::invalid_argument on an unknown value.
 [[nodiscard]] exec::BackendKind exec_backend(
     Args& args, exec::BackendKind fallback = exec::BackendKind::Sequential);
@@ -63,7 +63,6 @@ class Args {
 [[nodiscard]] int exec_threads(Args& args, int fallback = 0);
 
 /// Consumes --exec and --threads and builds the backend they describe.
-/// Throws std::runtime_error when this build cannot provide it.
 [[nodiscard]] std::shared_ptr<exec::ExecutionBackend> make_exec_backend(
     Args& args, exec::BackendKind fallback = exec::BackendKind::Sequential);
 

@@ -1,12 +1,9 @@
 #include "eval/evaluate.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
+#include "exec/backend.hpp"
 #include "exec/chunk_context.hpp"
 
 namespace kc::eval {
@@ -21,72 +18,18 @@ namespace {
   return ctx != nullptr && ctx->armed() ? ctx : nullptr;
 }
 
-/// Folds best[i] = min(best[i], comparable(pts[i], nearest center)) via
-/// the bulk update_nearest_multi kernels, so evaluation scans get the
-/// SIMD tables, the contiguous fast path, center blocking, and (when
-/// the oracle has a bound executor) sharding — instead of scalar
-/// per-pair calls. The caller initializes best (e.g. to kInfDist).
-/// When no executor is bound and `parallel` is set, the scan is chunked
-/// across OpenMP threads; chunks write disjoint slices with the same
-/// per-point fold, so the values stay bit-identical to the sequential
-/// pass. With an armed context each sub-scan is gated by the oracle as
-/// usual; a stop condition must not throw out of the parallel region,
-/// so the chunk that trips it parks the exception, the remaining
-/// chunks see the flag and skip, and the caller's thread rethrows
-/// after the region — evaluation stays OpenMP-parallel *and*
-/// cancellable/budgeted.
-void nearest_comparable_bulk(const DistanceOracle& oracle,
-                             std::span<const index_t> pts,
-                             std::span<const index_t> centers,
-                             std::span<double> best, bool parallel) {
-#ifdef KC_HAVE_OPENMP
-  if (parallel && oracle.executor() == nullptr) {
-    constexpr std::size_t kChunk = 4096;
-    const auto nchunks =
-        static_cast<std::int64_t>((pts.size() + kChunk - 1) / kChunk);
-    std::atomic<bool> stopped{false};
-    std::exception_ptr error;
-    std::mutex error_mutex;
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nchunks; ++b) {
-      // Relaxed: best-effort early exit; a chunk that misses the flag
-      // merely does redundant work, and the exception itself is
-      // published under error_mutex.
-      if (stopped.load(std::memory_order_relaxed)) continue;
-      const std::size_t lo = static_cast<std::size_t>(b) * kChunk;
-      const std::size_t len = std::min(kChunk, pts.size() - lo);
-      try {
-        oracle.update_nearest_multi(pts.subspan(lo, len), centers,
-                                    best.subspan(lo, len));
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mutex);
-        if (!error) error = std::current_exception();
-        // Relaxed: the flag only short-circuits remaining chunks; the
-        // omp barrier at loop end orders everything before the rethrow.
-        stopped.store(true, std::memory_order_relaxed);
-      }
-    }
-    if (error) std::rethrow_exception(error);
-    return;
-  }
-#else
-  (void)parallel;
-#endif
-  oracle.update_nearest_multi(pts, centers, best);
-}
-
 }  // namespace
 
 Evaluation covering_radius(const DistanceOracle& oracle,
                            std::span<const index_t> pts,
-                           std::span<const index_t> centers, bool parallel) {
+                           std::span<const index_t> centers) {
   if (pts.empty()) throw std::invalid_argument("covering_radius: empty points");
   if (centers.empty()) {
     throw std::invalid_argument("covering_radius: empty centers");
   }
 
   std::vector<double> best(pts.size(), kInfDist);
-  nearest_comparable_bulk(oracle, pts, centers, best, parallel);
+  oracle.update_nearest_multi(pts, centers, best);
   const std::size_t best_pos = argmax(best);
 
   Evaluation out;
@@ -98,8 +41,7 @@ Evaluation covering_radius(const DistanceOracle& oracle,
 
 std::vector<std::uint32_t> assign_clusters(const DistanceOracle& oracle,
                                            std::span<const index_t> pts,
-                                           std::span<const index_t> centers,
-                                           bool parallel) {
+                                           std::span<const index_t> centers) {
   if (centers.empty()) {
     throw std::invalid_argument("assign_clusters: empty centers");
   }
@@ -130,29 +72,23 @@ std::vector<std::uint32_t> assign_clusters(const DistanceOracle& oracle,
     };
   };
 
-#ifdef KC_HAVE_OPENMP
-  if (parallel && gate_of(oracle) == nullptr) {
-    // Ungated parallel pass: chunks stream independent tile rectangles
-    // into disjoint assignment slices with the same per-row fold, so
-    // the labels stay bit-identical to the sequential pass.
+  exec::ExecutionBackend* executor = oracle.executor();
+  if (executor != nullptr && gate_of(oracle) == nullptr) {
+    // Ungated pass on the bound executor: chunks of at least kChunk
+    // points stream independent tile rectangles into disjoint
+    // assignment slices with the same per-row fold, so the labels stay
+    // bit-identical to the single stream below.
     constexpr std::size_t kChunk = 4096;
-    const auto nchunks =
-        static_cast<std::int64_t>((pts.size() + kChunk - 1) / kChunk);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nchunks; ++b) {
-      const std::size_t lo = static_cast<std::size_t>(b) * kChunk;
-      const std::size_t len = std::min(kChunk, pts.size() - lo);
-      oracle.pairwise_tiles(pts.subspan(lo, len), centers, fold_from(lo),
+    const auto stream = [&](std::size_t lo, std::size_t hi) {
+      oracle.pairwise_tiles(pts.subspan(lo, hi - lo), centers, fold_from(lo),
                             "assign_clusters");
-    }
+    };
+    executor->parallel_for(pts.size(), kChunk, stream);
     return assignment;
   }
-#else
-  (void)parallel;
-#endif
-  // One stream covers both the gated case (the engine charges the
-  // budget in gate batches under the same "assign_clusters" label as
-  // before) and the sequential ungated case.
+  // One stream covers the gated case (the engine charges the budget in
+  // gate batches under the "assign_clusters" label) and the ungated
+  // case without an executor.
   oracle.pairwise_tiles(pts, centers, fold_from(0), "assign_clusters");
   return assignment;
 }

@@ -28,21 +28,21 @@ struct Evaluation {
   index_t witness = 0;       ///< a point attaining the radius
 };
 
-/// Max over `pts` of the distance to the nearest of `centers`.
-/// OpenMP-parallel across points when built with OpenMP, `parallel` is
-/// true and no executor is bound (a bound executor already shards the
-/// bulk kernels). An armed context keeps the OpenMP split: a stop
-/// condition tripping inside one chunk is parked and rethrown on the
-/// calling thread after the region.
+/// Max over `pts` of the distance to the nearest of `centers`. One
+/// update_nearest_multi scan, so a bound executor shards it (gated or
+/// not) exactly like the solve-path kernels.
 [[nodiscard]] Evaluation covering_radius(const DistanceOracle& oracle,
                                          std::span<const index_t> pts,
-                                         std::span<const index_t> centers,
-                                         bool parallel = true);
+                                         std::span<const index_t> centers);
 
 /// assignment[i] = index into `centers` of the center nearest pts[i].
+/// Ungated, the pass spreads chunks of points over the bound executor's
+/// parallel_for (each chunk's pair evaluations count on the thread that
+/// ran it); an armed context keeps one gated stream on the calling
+/// thread. The labels are identical either way.
 [[nodiscard]] std::vector<std::uint32_t> assign_clusters(
     const DistanceOracle& oracle, std::span<const index_t> pts,
-    std::span<const index_t> centers, bool parallel = true);
+    std::span<const index_t> centers);
 
 struct ClusterStats {
   std::vector<std::size_t> sizes;       ///< points per center

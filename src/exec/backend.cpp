@@ -1,15 +1,10 @@
 #include "exec/backend.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <exception>
 #include <stdexcept>
 
 #include "fault/fault.hpp"
-
-#ifdef KC_HAVE_OPENMP
-#include <omp.h>
-#endif
 
 namespace kc::exec {
 
@@ -29,7 +24,6 @@ namespace {
 std::string_view to_string(BackendKind kind) noexcept {
   switch (kind) {
     case BackendKind::Sequential: return "sequential";
-    case BackendKind::OpenMP: return "openmp";
     case BackendKind::ThreadPool: return "threadpool";
   }
   return "?";
@@ -37,17 +31,8 @@ std::string_view to_string(BackendKind kind) noexcept {
 
 std::optional<BackendKind> parse_backend(std::string_view token) noexcept {
   if (token == "seq" || token == "sequential") return BackendKind::Sequential;
-  if (token == "omp" || token == "openmp") return BackendKind::OpenMP;
   if (token == "pool" || token == "threadpool") return BackendKind::ThreadPool;
   return std::nullopt;
-}
-
-bool backend_available(BackendKind kind) noexcept {
-#ifndef KC_HAVE_OPENMP
-  if (kind == BackendKind::OpenMP) return false;
-#endif
-  (void)kind;
-  return true;
 }
 
 // ------------------------------------------------------------- Sequential
@@ -68,78 +53,6 @@ void SequentialBackend::run_tasks(std::span<const Task> tasks) {
 void SequentialBackend::parallel_for(std::size_t n, std::size_t /*grain*/,
                                      const RangeBody& body) {
   if (n != 0) body(0, n);
-}
-
-// ----------------------------------------------------------------- OpenMP
-
-OpenMPBackend::OpenMPBackend(int threads) {
-#ifdef KC_HAVE_OPENMP
-  threads_ = threads > 0 ? threads : omp_get_max_threads();
-#else
-  (void)threads;
-  throw std::runtime_error(
-      "exec: OpenMP backend requested but this build has no OpenMP "
-      "(rebuild with -DKC_ENABLE_OPENMP=ON, or use --exec=pool)");
-#endif
-}
-
-void OpenMPBackend::run_tasks(std::span<const Task> tasks) {
-#ifdef KC_HAVE_OPENMP
-  std::exception_ptr error;
-  // Signed induction variable: OpenMP loop-canonical form predates
-  // unsigned support in several implementations.
-  const auto count = static_cast<std::int64_t>(tasks.size());
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads_)
-  for (std::int64_t t = 0; t < count; ++t) {
-    try {
-      fault::point("exec.task.run");
-      tasks[static_cast<std::size_t>(t)]();
-    } catch (...) {
-      // Exceptions must not escape a parallel region (UB); capture the
-      // first and rethrow below.
-#pragma omp critical(kc_exec_openmp_error)
-      {
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-#else
-  (void)tasks;
-#endif
-}
-
-void OpenMPBackend::parallel_for(std::size_t n, std::size_t grain,
-                                 const RangeBody& body) {
-#ifdef KC_HAVE_OPENMP
-  if (n == 0) return;
-  const std::size_t chunks = chunk_count(n, grain, threads_);
-  if (chunks <= 1 || omp_in_parallel() != 0) {
-    // Nested regions would run with a team of one anyway; skip the
-    // region setup and keep the work (and its counters) on this thread.
-    body(0, n);
-    return;
-  }
-  std::exception_ptr error;
-  const auto count = static_cast<std::int64_t>(chunks);
-#pragma omp parallel for schedule(static) num_threads(threads_)
-  for (std::int64_t c = 0; c < count; ++c) {
-    try {
-      const auto [lo, hi] =
-          chunk_bounds(n, chunks, static_cast<std::size_t>(c));
-      body(lo, hi);
-    } catch (...) {
-#pragma omp critical(kc_exec_openmp_error)
-      {
-        if (!error) error = std::current_exception();
-      }
-    }
-  }
-  if (error) std::rethrow_exception(error);
-#else
-  (void)grain;
-  if (n != 0) body(0, n);
-#endif
 }
 
 // ------------------------------------------------------------- ThreadPool
@@ -165,8 +78,6 @@ std::shared_ptr<ExecutionBackend> make_backend(BackendKind kind, int threads,
   switch (kind) {
     case BackendKind::Sequential:
       return std::make_shared<SequentialBackend>();
-    case BackendKind::OpenMP:
-      return std::make_shared<OpenMPBackend>(threads);
     case BackendKind::ThreadPool:
       return std::make_shared<ThreadPoolBackend>(threads,
                                                  pin.value_or(env_pin_mode()));

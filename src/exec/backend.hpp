@@ -3,13 +3,10 @@
 // Everything in this library that fans work out — the simulated
 // MapReduce cluster running one round's reducer tasks, and the sharded
 // distance kernels splitting one scan across host cores — goes through
-// the ExecutionBackend interface. Three implementations exist:
+// the ExecutionBackend interface. Two implementations exist:
 //
 //   SequentialBackend  one task at a time on the calling thread; the
 //                      paper's methodology (§7.1) and the default.
-//   OpenMPBackend      OpenMP parallel loops; only constructible when
-//                      the build defines KC_HAVE_OPENMP (requesting it
-//                      otherwise throws — no silent degrade).
 //   ThreadPoolBackend  persistent workers behind the work-stealing
 //                      scheduler (exec/scheduler.hpp): per-worker
 //                      deques, TaskGroup isolation, so independent
@@ -24,9 +21,8 @@
 // deterministically with an order-independent (min) fold.
 //
 // Exception semantics, uniform across backends: every task of a batch
-// is attempted (an OpenMP loop cannot break early, so the others match
-// it) and the first exception thrown is rethrown to the caller after
-// the batch completes.
+// is attempted, and the first exception thrown is rethrown to the
+// caller after the batch completes.
 #pragma once
 
 #include <cstddef>
@@ -40,22 +36,19 @@
 
 namespace kc::exec {
 
+/// Explicit values: a kind's number is part of its printed identity
+/// (test parameter names), so retiring a kind never renumbers another.
 enum class BackendKind {
-  Sequential,  ///< faithful to the paper: one task at a time
-  OpenMP,      ///< OpenMP host threads (requires KC_HAVE_OPENMP)
-  ThreadPool,  ///< persistent std::thread workers + shared work queue
+  Sequential = 0,  ///< faithful to the paper: one task at a time
+  ThreadPool = 2,  ///< persistent std::thread workers + shared work queue
 };
 
 [[nodiscard]] std::string_view to_string(BackendKind kind) noexcept;
 
-/// Parses "seq"/"sequential", "omp"/"openmp", "pool"/"threadpool"
-/// (the --exec flag vocabulary). Returns nullopt on anything else.
+/// Parses "seq"/"sequential", "pool"/"threadpool" (the --exec flag
+/// vocabulary). Returns nullopt on anything else.
 [[nodiscard]] std::optional<BackendKind> parse_backend(
     std::string_view token) noexcept;
-
-/// True when this build can construct the backend (OpenMP is the only
-/// kind that can be compiled out).
-[[nodiscard]] bool backend_available(BackendKind kind) noexcept;
 
 class ExecutionBackend {
  public:
@@ -100,25 +93,6 @@ class SequentialBackend final : public ExecutionBackend {
                     const RangeBody& body) override;
 };
 
-/// OpenMP host threads. Throws std::runtime_error from the constructor
-/// when the build lacks OpenMP: an unavailable backend must never be
-/// silently substituted.
-class OpenMPBackend final : public ExecutionBackend {
- public:
-  /// `threads <= 0` uses the OpenMP default (omp_get_max_threads).
-  explicit OpenMPBackend(int threads = 0);
-  [[nodiscard]] BackendKind kind() const noexcept override {
-    return BackendKind::OpenMP;
-  }
-  [[nodiscard]] int concurrency() const noexcept override { return threads_; }
-  void run_tasks(std::span<const Task> tasks) override;
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const RangeBody& body) override;
-
- private:
-  int threads_ = 1;
-};
-
 /// Persistent workers behind the work-stealing scheduler.
 class ThreadPoolBackend final : public ExecutionBackend {
  public:
@@ -142,9 +116,9 @@ class ThreadPoolBackend final : public ExecutionBackend {
   Scheduler scheduler_;
 };
 
-/// Factory for the --exec flag: builds the requested backend or throws
-/// std::runtime_error when this build cannot provide it. `pin` applies
-/// to the thread pool only (the other backends have no persistent
+/// Factory for the --exec flag: builds the requested backend (throws
+/// std::invalid_argument on a kind outside the enum). `pin` applies to
+/// the thread pool only (the sequential backend has no persistent
 /// workers to place); nullopt defers to the KC_PIN environment
 /// variable.
 [[nodiscard]] std::shared_ptr<ExecutionBackend> make_backend(

@@ -20,10 +20,9 @@
 //   - workers with an empty deque steal the oldest task of any group,
 //     so a nested scan fanned out by one reducer is picked up by
 //     whoever is idle;
-//   - exceptions are captured per group and the first one is rethrown
-//     to that group's waiter; every task of the group is still
-//     attempted (OpenMP-matching semantics — a parallel loop cannot
-//     break early), and other groups are unaffected.
+//   - exceptions are captured per group: every task of the group is
+//     attempted, the first exception is rethrown to that group's
+//     waiter, and other groups are unaffected.
 //
 // Determinism contract, unchanged from the old pool: the scheduler
 // decides only *where* a task runs, never what it computes. Chunk

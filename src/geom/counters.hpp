@@ -6,7 +6,7 @@
 // (k-1)*(N-1) pair evaluations on N points); the MapReduce cluster
 // samples them per simulated machine to attribute work to rounds.
 //
-// Counters are thread-local so that OpenMP execution attributes work
+// Counters are thread-local so that parallel execution attributes work
 // to the machine task that performed it without synchronization.
 #pragma once
 

@@ -3,14 +3,14 @@
 // Executes the reducer tasks of one round through a pluggable
 // execution backend (src/exec): sequentially (the paper's methodology:
 // run each simulated machine in turn and charge the round the
-// *maximum* per-machine time), on OpenMP host threads, or on the
-// work-stealing scheduler. Either way, each task is timed individually
-// with its thread's CPU clock (CLOCK_THREAD_CPUTIME_ID, see
-// exec/cpu_clock.hpp) — so contention for host cores or a blocked task
-// cannot inflate simulated time — and its distance-evaluation work is
-// attributed via the thread-local counters, so every simulated *count*
-// is identical across execution backends. Simulated *times* are exact
-// under the sequential backend (a task's scans run inline on its own
+// *maximum* per-machine time) or on the work-stealing scheduler.
+// Either way, each task is timed individually with its thread's CPU
+// clock (CLOCK_THREAD_CPUTIME_ID, see exec/cpu_clock.hpp) — so
+// contention for host cores or a blocked task cannot inflate simulated
+// time — and its distance-evaluation work is attributed via the
+// thread-local counters, so every simulated *count* is identical
+// across execution backends. Simulated *times* are exact under the
+// sequential backend (a task's scans run inline on its own
 // thread); under parallel backends, scan work a task fans out to other
 // threads is not charged to it, so per-machine times are a lower bound
 // there — produce paper figures with --exec=seq.
@@ -63,9 +63,7 @@ class SimCluster {
   /// and call check_capacity() to assert they respected it.
   ///
   /// This convenience overload constructs a fresh backend of the given
-  /// kind (`threads` as in exec::make_backend). Throws
-  /// std::runtime_error if this build cannot provide the backend —
-  /// an unavailable backend is never silently substituted.
+  /// kind (`threads` as in exec::make_backend).
   explicit SimCluster(int machines, std::size_t capacity_items = 0,
                       exec::BackendKind backend = exec::BackendKind::Sequential,
                       int threads = 0);

@@ -61,28 +61,21 @@ ServiceLoop::ServiceLoop(const ServiceConfig& config,
     fault::arm(fault::FaultPlan::parse(config_.fault_plan));
     armed_fault_plan_ = true;
   }
-  deadline_thread_ = std::thread([this] { deadline_loop(); });
-  if (config_.watchdog_ms != 0) {
-    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
-  }
+  std::thread timer([this] { timer_loop(); });
+  const compat::LockGuard lock(timer_mutex_);
+  timer_thread_ = std::move(timer);
 }
 
 ServiceLoop::~ServiceLoop() {
   queue_.close();
+  std::thread timer;
   {
-    const compat::LockGuard lock(deadline_mutex_);
-    deadline_stop_ = true;
+    const compat::LockGuard lock(timer_mutex_);
+    timer_stop_ = true;
+    timer = std::move(timer_thread_);
   }
-  deadline_cv_.notify_all();
-  deadline_thread_.join();
-  if (watchdog_thread_.joinable()) {
-    {
-      const compat::LockGuard lock(watchdog_mutex_);
-      watchdog_stop_ = true;
-    }
-    watchdog_cv_.notify_all();
-    watchdog_thread_.join();
-  }
+  timer_cv_.notify_all();
+  timer.join();
   if (armed_fault_plan_) fault::disarm();
 }
 
@@ -106,12 +99,12 @@ ServiceLoop::Stats ServiceLoop::stats() const {
 }
 
 std::size_t ServiceLoop::deadline_entries() const {
-  const compat::LockGuard lock(deadline_mutex_);
+  const compat::LockGuard lock(timer_mutex_);
   return deadlines_.size();
 }
 
 std::size_t ServiceLoop::watchdog_entries() const {
-  const compat::LockGuard lock(watchdog_mutex_);
+  const compat::LockGuard lock(timer_mutex_);
   return watchdog_.size();
 }
 
@@ -125,36 +118,67 @@ std::shared_ptr<exec::EvalBudget> ServiceLoop::tenant_budget(
 void ServiceLoop::arm_deadline(Clock::time_point when,
                                CancellationToken token,
                                std::shared_ptr<std::atomic<bool>> fired) {
+  bool earliest = false;
   {
-    const compat::LockGuard lock(deadline_mutex_);
-    deadlines_.emplace(when, DeadlineEntry{std::move(token), std::move(fired)});
+    const compat::LockGuard lock(timer_mutex_);
+    const auto it = deadlines_.emplace(
+        when, DeadlineEntry{std::move(token), std::move(fired)});
+    earliest = it == deadlines_.begin();
   }
-  deadline_cv_.notify_all();
+  // The timer only needs waking when its next wake-up moved earlier.
+  if (earliest) timer_cv_.notify_all();
 }
 
-void ServiceLoop::deadline_loop() {
-  compat::MutexLock lock(deadline_mutex_);
+void ServiceLoop::timer_loop() {
+  const auto tick =
+      std::max(std::chrono::milliseconds(1),
+               std::chrono::milliseconds(config_.watchdog_ms / 4));
+  constexpr Clock::time_point kNever = Clock::time_point::max();
+  // The next watchdog pass; kNever while no attempt is watched.
+  Clock::time_point next_tick = kNever;
   for (;;) {
-    if (deadline_stop_) return;
-    if (deadlines_.empty()) {
-      deadline_cv_.wait(lock);
-      continue;
+    std::uint64_t cancelled = 0;
+    {
+      compat::MutexLock lock(timer_mutex_);
+      for (;;) {
+        if (timer_stop_) return;
+        const auto now = Clock::now();
+        // Fire everything that is due. Firing the token of a request
+        // that already settled is harmless: tokens are per-request.
+        while (!deadlines_.empty() && deadlines_.begin()->first <= now) {
+          DeadlineEntry entry = std::move(deadlines_.begin()->second);
+          deadlines_.erase(deadlines_.begin());
+          // Relaxed: the flag only biases the settle-path error message
+          // (deadline vs generic cancel); both readers tolerate
+          // staleness.
+          entry.fired->store(true, std::memory_order_relaxed);
+          entry.token.request_cancel();
+        }
+        if (watchdog_.empty()) {
+          next_tick = kNever;
+        } else if (next_tick == kNever) {
+          next_tick = now + tick;
+        } else if (next_tick <= now) {
+          next_tick = now + tick;
+          cancelled = watchdog_pass(now);
+          if (cancelled != 0) break;
+        }
+        // Sleep until the earlier of the next deadline and the next tick.
+        Clock::time_point wake = next_tick;
+        if (!deadlines_.empty()) {
+          wake = std::min(wake, deadlines_.begin()->first);
+        }
+        if (wake == kNever) {
+          timer_cv_.wait(lock);
+        } else {
+          timer_cv_.wait_until(lock, wake);
+        }
+      }
     }
-    const auto next = deadlines_.begin()->first;
-    if (Clock::now() < next) {
-      deadline_cv_.wait_until(lock, next);
-      continue;
-    }
-    // Fire everything that is due. Firing the token of a request that
-    // already settled is harmless: tokens are per-request.
-    while (!deadlines_.empty() && deadlines_.begin()->first <= Clock::now()) {
-      DeadlineEntry entry = std::move(deadlines_.begin()->second);
-      deadlines_.erase(deadlines_.begin());
-      // Relaxed: the flag only biases the settle-path error message
-      // (deadline vs generic cancel); both readers tolerate staleness.
-      entry.fired->store(true, std::memory_order_relaxed);
-      entry.token.request_cancel();
-    }
+    // Counted after timer_mutex_ is released: the timer never holds two
+    // service mutexes at once.
+    const compat::LockGuard lock(state_mutex_);
+    stats_.watchdog_fired += cancelled;
   }
 }
 
@@ -219,7 +243,7 @@ std::optional<std::string> ServiceLoop::submit(std::string_view line,
     }
   }
 
-  // Every request gets an armed token: the deadline watcher and
+  // Every request gets an armed token: the deadline timer and
   // cancel_all() need a handle even when the producer supplied none.
   if (!cancel.armed()) cancel = CancellationToken::make();
   item->wire.request.cancel = cancel;
@@ -379,7 +403,7 @@ bool ServiceLoop::attempt_solve(Admitted& item, int attempt,
     message = e.what();
     if (e.kind() == api::ErrorKind::Cancelled) {
       // Relaxed loads: the flags only pick the error label; the cancel
-      // itself was delivered through the token (see deadline_loop).
+      // itself was delivered through the token (see timer_loop).
       if (item.deadline_fired != nullptr &&
           item.deadline_fired->load(std::memory_order_relaxed)) {
         status = "deadline-exceeded";
@@ -478,7 +502,7 @@ void ServiceLoop::execute(Admitted& item) {
 void ServiceLoop::retire_deadline(
     Clock::time_point when, const std::shared_ptr<std::atomic<bool>>& fired) {
   if (fired == nullptr) return;
-  const compat::LockGuard lock(deadline_mutex_);
+  const compat::LockGuard lock(timer_mutex_);
   const auto [lo, hi] = deadlines_.equal_range(when);
   for (auto it = lo; it != hi; ++it) {
     if (it->second.fired == fired) {
@@ -489,7 +513,7 @@ void ServiceLoop::retire_deadline(
 }
 
 void ServiceLoop::settle(Admitted& item) {
-  // Retire the watcher entry: a settled request's token must not be
+  // Retire the deadline entry: a settled request's token must not be
   // retained (or fired) for the rest of its deadline horizon.
   retire_deadline(item.deadline_at, item.deadline_fired);
   const compat::LockGuard lock(state_mutex_);
@@ -511,56 +535,46 @@ void ServiceLoop::watchdog_register(Admitted& item) {
   entry.fired = item.watchdog_fired;
   entry.last_consumed = item.budget->consumed();
   entry.last_progress = Clock::now();
+  bool first = false;
   {
-    const compat::LockGuard lock(watchdog_mutex_);
+    const compat::LockGuard lock(timer_mutex_);
+    first = watchdog_.empty();
     watchdog_.emplace(item.serial, std::move(entry));
   }
-  watchdog_cv_.notify_all();
+  // The first watched attempt starts the timer's ticks.
+  if (first) timer_cv_.notify_all();
 }
 
 void ServiceLoop::watchdog_unregister(std::uint64_t serial) {
   if (config_.watchdog_ms == 0) return;
-  const compat::LockGuard lock(watchdog_mutex_);
+  const compat::LockGuard lock(timer_mutex_);
   watchdog_.erase(serial);
 }
 
-void ServiceLoop::watchdog_loop() {
+std::uint64_t ServiceLoop::watchdog_pass(Clock::time_point now) {
   const auto horizon = std::chrono::milliseconds(config_.watchdog_ms);
-  const auto tick =
-      std::max(std::chrono::milliseconds(1),
-               std::chrono::milliseconds(config_.watchdog_ms / 4));
-  compat::MutexLock lock(watchdog_mutex_);
-  for (;;) {
-    if (watchdog_stop_) return;
-    if (watchdog_.empty()) {
-      watchdog_cv_.wait(lock);
+  std::uint64_t cancelled = 0;
+  for (auto& [serial, entry] : watchdog_) {
+    const std::uint64_t consumed = entry.budget->consumed();
+    if (consumed != entry.last_consumed) {
+      entry.last_consumed = consumed;
+      entry.last_progress = now;
       continue;
     }
-    watchdog_cv_.wait_for(lock, tick);
-    if (watchdog_stop_) return;
-    const auto now = Clock::now();
-    for (auto& [serial, entry] : watchdog_) {
-      const std::uint64_t consumed = entry.budget->consumed();
-      if (consumed != entry.last_consumed) {
-        entry.last_consumed = consumed;
-        entry.last_progress = now;
-        continue;
-      }
-      // Relaxed flag: the only consequence of staleness is one extra
-      // (idempotent) request_cancel on an already-settling request.
-      if (now - entry.last_progress >= horizon &&
-          !entry.fired->load(std::memory_order_relaxed)) {
-        // Stuck: the odometer sat still for the whole horizon. Cancel
-        // through the request's own token; execute() maps the
-        // resulting Cancelled to "internal-error" with diagnostics
-        // because `fired` is set first.
-        entry.fired->store(true, std::memory_order_relaxed);
-        entry.token.request_cancel();
-        const compat::LockGuard state_lock(state_mutex_);
-        ++stats_.watchdog_fired;
-      }
+    // Relaxed flag: the only consequence of staleness is one extra
+    // (idempotent) request_cancel on an already-settling request.
+    if (now - entry.last_progress >= horizon &&
+        !entry.fired->load(std::memory_order_relaxed)) {
+      // Stuck: the odometer sat still for the whole horizon. Cancel
+      // through the request's own token; execute() maps the resulting
+      // Cancelled to "internal-error" with diagnostics because `fired`
+      // is set first.
+      entry.fired->store(true, std::memory_order_relaxed);
+      entry.token.request_cancel();
+      ++cancelled;
     }
   }
+  return cancelled;
 }
 
 void ServiceLoop::run() {

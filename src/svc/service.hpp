@@ -20,11 +20,12 @@
 // malformed records (api::Error taxonomy), the tenant's EvalBudget is
 // *reserved* for the request's cap (refunded pro rata when it
 // settles — concurrent requests of one tenant can never oversubscribe
-// it), the deadline watcher arms a cancellation token that the gated
-// kernels observe within one chunk, and the queue bound backpressures
-// producers (or answers "overloaded" in non-blocking mode). Every
-// admitted request runs with budgeted_eval, so offline evaluation is
-// charged like solve work and no request can burn unbudgeted CPU.
+// it), the service timer fires a cancellation token at the deadline
+// that the gated kernels observe within one chunk, and the queue bound
+// backpressures producers (or answers "overloaded" in non-blocking
+// mode). Every admitted request runs with budgeted_eval, so offline
+// evaluation is charged like solve work and no request can burn
+// unbudgeted CPU.
 #pragma once
 
 #include <atomic>
@@ -176,7 +177,7 @@ class ServiceLoop {
   [[nodiscard]] std::optional<std::string> submit(
       std::string_view line, EmitFn emit, bool blocking = true,
       CancellationToken cancel = {})
-      KC_EXCLUDES(state_mutex_, deadline_mutex_);
+      KC_EXCLUDES(state_mutex_, timer_mutex_);
 
   /// Ends admission: submit() refuses, run() returns once the queue
   /// and the in-flight window drain.
@@ -188,7 +189,7 @@ class ServiceLoop {
 
   /// Consumer loop: executes admitted requests until close() and the
   /// backlog drains. Call from exactly one thread.
-  void run() KC_EXCLUDES(state_mutex_, deadline_mutex_, watchdog_mutex_);
+  void run() KC_EXCLUDES(state_mutex_, timer_mutex_);
 
   struct Stats {
     std::uint64_t admitted = 0;
@@ -201,14 +202,13 @@ class ServiceLoop {
   };
   [[nodiscard]] Stats stats() const KC_EXCLUDES(state_mutex_);
 
-  /// Armed deadline-watcher entries (tests assert none leak after a
-  /// drain).
+  /// Armed deadline entries (tests assert none leak after a drain).
   [[nodiscard]] std::size_t deadline_entries() const
-      KC_EXCLUDES(deadline_mutex_);
+      KC_EXCLUDES(timer_mutex_);
   /// Requests currently tracked by the watchdog (tests assert none
   /// leak after a drain).
   [[nodiscard]] std::size_t watchdog_entries() const
-      KC_EXCLUDES(watchdog_mutex_);
+      KC_EXCLUDES(timer_mutex_);
 
   [[nodiscard]] const std::shared_ptr<exec::ExecutionBackend>& backend()
       const noexcept {
@@ -229,10 +229,10 @@ class ServiceLoop {
     std::shared_ptr<exec::EvalBudget> tenant_budget;  ///< reservation source
     std::uint64_t reserved = 0;
     std::shared_ptr<std::atomic<bool>> deadline_fired;
-    /// Watcher-map key of this request's deadline entry (valid when
+    /// Timer-map key of this request's deadline entry (valid when
     /// deadline_fired is non-null); settle() erases the entry so the
-    /// watcher does not retain tokens of settled requests for up to
-    /// the full deadline horizon.
+    /// timer does not retain tokens of settled requests for up to the
+    /// full deadline horizon.
     std::chrono::steady_clock::time_point deadline_at;
     std::uint64_t serial = 0;  ///< active-token registry key
     bool degraded = false;     ///< ran under the degradation ladder
@@ -241,9 +241,8 @@ class ServiceLoop {
     std::shared_ptr<std::atomic<bool>> watchdog_fired;
   };
 
-  void execute(Admitted& item)
-      KC_EXCLUDES(state_mutex_, watchdog_mutex_);
-  void settle(Admitted& item) KC_EXCLUDES(state_mutex_, deadline_mutex_);
+  void execute(Admitted& item) KC_EXCLUDES(state_mutex_, timer_mutex_);
+  void settle(Admitted& item) KC_EXCLUDES(state_mutex_, timer_mutex_);
   /// One solve attempt; returns true on success, sets
   /// `status`/`message` and `retryable` otherwise.
   bool attempt_solve(Admitted& item, int attempt, std::string& status,
@@ -251,20 +250,26 @@ class ServiceLoop {
   /// Consumes one unit of the tenant's retry budget; false when
   /// exhausted.
   bool take_retry_token(const std::string& tenant) KC_EXCLUDES(state_mutex_);
-  void watchdog_register(Admitted& item) KC_EXCLUDES(watchdog_mutex_);
-  void watchdog_unregister(std::uint64_t serial) KC_EXCLUDES(watchdog_mutex_);
-  void watchdog_loop() KC_EXCLUDES(watchdog_mutex_, state_mutex_);
+  void watchdog_register(Admitted& item) KC_EXCLUDES(timer_mutex_);
+  void watchdog_unregister(std::uint64_t serial) KC_EXCLUDES(timer_mutex_);
+  /// One watchdog pass at `now`: refreshes progress marks and cancels
+  /// every attempt whose odometer sat still for the whole horizon.
+  /// Returns how many it cancelled.
+  std::uint64_t watchdog_pass(std::chrono::steady_clock::time_point now)
+      KC_REQUIRES(timer_mutex_);
   void arm_deadline(std::chrono::steady_clock::time_point when,
                     CancellationToken token,
                     std::shared_ptr<std::atomic<bool>> fired)
-      KC_EXCLUDES(deadline_mutex_);
-  /// Removes the watcher entry identified by (when, fired), if still
+      KC_EXCLUDES(timer_mutex_);
+  /// Removes the deadline entry identified by (when, fired), if still
   /// armed; called from settle() and from the admission rollback so no
   /// path retains a dead request's token for its deadline horizon.
   void retire_deadline(std::chrono::steady_clock::time_point when,
                        const std::shared_ptr<std::atomic<bool>>& fired)
-      KC_EXCLUDES(deadline_mutex_);
-  void deadline_loop() KC_EXCLUDES(deadline_mutex_);
+      KC_EXCLUDES(timer_mutex_);
+  /// The service's one helper thread: fires due deadlines and, while
+  /// any attempt is watched, ticks the watchdog.
+  void timer_loop() KC_EXCLUDES(timer_mutex_, state_mutex_);
 
   ServiceConfig config_;
   std::shared_ptr<exec::ExecutionBackend> backend_;
@@ -289,23 +294,14 @@ class ServiceLoop {
   std::uint64_t next_serial_ KC_GUARDED_BY(state_mutex_) = 0;
   Stats stats_ KC_GUARDED_BY(state_mutex_);
 
+  // Timer state: armed deadlines and watched attempts share one mutex,
+  // one CondVar and one helper thread (timer_loop).
   struct DeadlineEntry {
     CancellationToken token;
     std::shared_ptr<std::atomic<bool>> fired;
   };
-  mutable compat::Mutex deadline_mutex_;
-  compat::CondVar deadline_cv_;
-  std::multimap<std::chrono::steady_clock::time_point, DeadlineEntry>
-      deadlines_ KC_GUARDED_BY(deadline_mutex_);
-  bool deadline_stop_ KC_GUARDED_BY(deadline_mutex_) = false;
-  // Started/joined only by the owning thread in run(); never touched
-  // by the workers it watches. Expiring: PR14 should fold the two
-  // helper threads into a lifecycle struct with its own discipline.
-  // kc-lint: allow(guarded-by, until=PR14) owner-thread-only lifecycle handle
-  std::thread deadline_thread_;
-
-  /// Watchdog state: one entry per executing attempt, keyed by the
-  /// request serial. Progress = the budget odometer moving.
+  /// One entry per executing attempt, keyed by the request serial.
+  /// Progress = the budget odometer moving.
   struct WatchdogEntry {
     std::shared_ptr<exec::EvalBudget> budget;
     CancellationToken token;
@@ -313,16 +309,16 @@ class ServiceLoop {
     std::uint64_t last_consumed = 0;
     std::chrono::steady_clock::time_point last_progress;
   };
-  mutable compat::Mutex watchdog_mutex_;
-  compat::CondVar watchdog_cv_;
+  mutable compat::Mutex timer_mutex_;
+  compat::CondVar timer_cv_;
+  std::multimap<std::chrono::steady_clock::time_point, DeadlineEntry>
+      deadlines_ KC_GUARDED_BY(timer_mutex_);
   std::map<std::uint64_t, WatchdogEntry> watchdog_
-      KC_GUARDED_BY(watchdog_mutex_);
-  bool watchdog_stop_ KC_GUARDED_BY(watchdog_mutex_) = false;
-  // Started/joined only by the owning thread in run(); never touched
-  // by the workers it watches. Expiring: PR14 should fold the two
-  // helper threads into a lifecycle struct with its own discipline.
-  // kc-lint: allow(guarded-by, until=PR14) owner-thread-only lifecycle handle
-  std::thread watchdog_thread_;
+      KC_GUARDED_BY(timer_mutex_);
+  bool timer_stop_ KC_GUARDED_BY(timer_mutex_) = false;
+  /// Stored under timer_mutex_ by the constructor; the destructor moves
+  /// it out under the mutex before joining.
+  std::thread timer_thread_ KC_GUARDED_BY(timer_mutex_);
 };
 
 }  // namespace kc::svc

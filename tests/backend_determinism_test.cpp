@@ -1,9 +1,9 @@
 // Cross-backend determinism: the execution backend decides only where
 // closures run, so for a fixed seed MRG and EIM must produce identical
 // centers, radii, round/iteration counts, and per-round (and
-// per-machine-max) distance-eval counts under Sequential, ThreadPool
-// and (when built) OpenMP — including when the oracle's sharded
-// distance kernels are forced on with a tiny shard threshold.
+// per-machine-max) distance-eval counts under Sequential and
+// ThreadPool — including when the oracle's sharded distance kernels
+// are forced on with a tiny shard threshold.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -21,9 +21,6 @@ std::vector<std::shared_ptr<exec::ExecutionBackend>> all_backends() {
   std::vector<std::shared_ptr<exec::ExecutionBackend>> backends;
   backends.push_back(exec::make_backend(exec::BackendKind::Sequential));
   backends.push_back(exec::make_backend(exec::BackendKind::ThreadPool, 4));
-  if (exec::backend_available(exec::BackendKind::OpenMP)) {
-    backends.push_back(exec::make_backend(exec::BackendKind::OpenMP, 4));
-  }
   return backends;
 }
 

@@ -349,6 +349,47 @@ TEST(ChaosWatchdog, StalledRequestIsCancelledWithDiagnostics) {
   EXPECT_EQ(result.watchdog_entries, 0u);  // no leaked watcher entries
 }
 
+TEST(ChaosWatchdog, WatchdogAndDeadlineShareOneTimer) {
+  // One service, both timers armed: the first request stalls for 400 ms
+  // under the 50 ms watchdog, and the second request's 20 ms deadline
+  // must fire on the same timer thread while that stall is watched.
+  svc::ServiceConfig config;
+  config.backend = exec::BackendKind::Sequential;
+  config.style.stable = true;
+  config.watchdog_ms = 50;
+  config.fault_plan = "seed=1;svc.request.run:nth=1,times=1,stall_ms=400";
+  svc::ServiceLoop service(config);
+  std::vector<std::string> reports;  // written by the consumer only
+  const svc::EmitFn emit = [&](const std::string& line) {
+    reports.push_back(line);
+  };
+  ASSERT_FALSE(service
+                   .submit(request_line(1, "t", "gon", 32, 2000, 5,
+                                        ", \"max_dist_evals\": 100000000"),
+                           emit)
+                   .has_value());
+  ASSERT_FALSE(service
+                   .submit(request_line(2, "t", "gon", 2, 40, 6,
+                                        ", \"deadline_ms\": 20"),
+                           emit)
+                   .has_value());
+  service.close();
+  std::thread consumer([&service] { service.run(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
+  EXPECT_EQ(service.deadline_entries(), 0u);  // fired mid-stall
+  consumer.join();
+
+  ASSERT_EQ(reports.size(), 2u);
+  const Json stalled = Json::parse(reports[0]);
+  EXPECT_EQ(stalled.find("status")->string, "internal-error") << reports[0];
+  EXPECT_NE(stalled.find("error")->string.find("watchdog:"), std::string::npos)
+      << reports[0];
+  EXPECT_EQ(status_of(reports[1]), "deadline-exceeded") << reports[1];
+  EXPECT_EQ(service.stats().watchdog_fired, 1u);
+  EXPECT_EQ(service.deadline_entries(), 0u);
+  EXPECT_EQ(service.watchdog_entries(), 0u);
+}
+
 // ------------------------------------------------- machine failures
 
 [[nodiscard]] std::vector<std::string> reducer_lines() {

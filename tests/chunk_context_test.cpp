@@ -85,7 +85,6 @@ TEST(ChunkContext, InertByDefault) {
 class GatedScans : public ::testing::TestWithParam<exec::BackendKind> {};
 
 TEST_P(GatedScans, BudgetStopsUpdateNearestMultiWithinOneGate) {
-  if (!exec::backend_available(GetParam())) GTEST_SKIP();
   const auto backend = exec::make_backend(GetParam(), 4);
 
   // 1M ids x 16 centers = 16M pair evals in one bulk scan.
@@ -113,7 +112,6 @@ TEST_P(GatedScans, BudgetStopsUpdateNearestMultiWithinOneGate) {
 }
 
 TEST_P(GatedScans, CancellationStopsScanMidFlight) {
-  if (!exec::backend_available(GetParam())) GTEST_SKIP();
   const auto backend = exec::make_backend(GetParam(), 4);
 
   Rng rng(12);
@@ -159,7 +157,6 @@ TEST_P(GatedScans, CancellationStopsScanMidFlight) {
 }
 
 TEST_P(GatedScans, CompletedScansChargeExactlyTheirEvalsAndStayBitIdentical) {
-  if (!exec::backend_available(GetParam())) GTEST_SKIP();
   const auto backend = exec::make_backend(GetParam(), 4);
 
   const PointSet data = test::small_gaussian_instance(8, 4000, 13);
@@ -195,7 +192,6 @@ TEST_P(GatedScans, CompletedScansChargeExactlyTheirEvalsAndStayBitIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, GatedScans,
                          ::testing::Values(exec::BackendKind::Sequential,
-                                           exec::BackendKind::OpenMP,
                                            exec::BackendKind::ThreadPool),
                          [](const auto& param_info) {
                            return std::string(

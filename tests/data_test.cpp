@@ -164,8 +164,7 @@ TEST(Planted, ExactOptConstruction) {
   // The planted centers cover everything at exactly the claimed OPT.
   const DistanceOracle oracle(inst.points);
   const auto all = inst.points.all_indices();
-  const auto cover =
-      eval::covering_radius(oracle, all, inst.optimal_centers, false);
+  const auto cover = eval::covering_radius(oracle, all, inst.optimal_centers);
   EXPECT_NEAR(cover.radius, 1.0, 1e-9);
 }
 
@@ -245,8 +244,7 @@ TEST(PokerSurrogate, DistanceScaleMatchesPaper) {
   const DistanceOracle oracle(hands);
   const auto all = hands.all_indices();
   const auto gon = gonzalez(oracle, all, 2);
-  const double value =
-      eval::covering_radius(oracle, all, gon.centers, false).radius;
+  const double value = eval::covering_radius(oracle, all, gon.centers).radius;
   EXPECT_GT(value, 10.0);
   EXPECT_LT(value, 27.7);
 }
@@ -285,12 +283,10 @@ TEST(KddSurrogate, SmallKValuesSpanOrdersOfMagnitude) {
   const DistanceOracle oracle(kdd);
   const auto all = kdd.all_indices();
   const double v2 =
-      eval::covering_radius(oracle, all, gonzalez(oracle, all, 2).centers,
-                            false)
+      eval::covering_radius(oracle, all, gonzalez(oracle, all, 2).centers)
           .radius;
   const double v64 =
-      eval::covering_radius(oracle, all, gonzalez(oracle, all, 64).centers,
-                            false)
+      eval::covering_radius(oracle, all, gonzalez(oracle, all, 64).centers)
           .radius;
   EXPECT_GT(v2, 1e7);          // dominated by the bulk-transfer outliers
   EXPECT_LT(v64, v2 / 10.0);   // value collapses as k grows (Figure 1)

@@ -227,21 +227,6 @@ TEST(Eim, DeterministicGivenSeed) {
   EXPECT_EQ(a.final_sample_size, b.final_sample_size);
 }
 
-TEST(Eim, OpenMPExecutionMatchesSequential) {
-  if (!exec::backend_available(exec::BackendKind::OpenMP)) {
-    GTEST_SKIP() << "built without OpenMP";
-  }
-  const PointSet ps = test::small_gaussian_instance(5, 2000, 6);
-  const DistanceOracle oracle(ps);
-  const auto all = ps.all_indices();
-  const mr::SimCluster seq(10, 0, exec::BackendKind::Sequential);
-  const mr::SimCluster omp(10, 0, exec::BackendKind::OpenMP);
-  const auto a = eim(oracle, all, 5, seq, default_options(7));
-  const auto b = eim(oracle, all, 5, omp, default_options(7));
-  EXPECT_EQ(a.centers, b.centers);
-  EXPECT_EQ(a.iterations, b.iterations);
-}
-
 TEST(Eim, SmallerPhiPrunesFaster) {
   // phi controls the pivot rank: lower phi picks a farther pivot,
   // removes more of R per iteration, and needs no more iterations.

@@ -12,7 +12,7 @@ TEST(CoveringRadius, MatchesHandComputation) {
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
   const std::vector<index_t> centers{0, 3};
-  const auto result = covering_radius(oracle, all, centers, false);
+  const auto result = covering_radius(oracle, all, centers);
   // Point 4.0 is 4 from center 0 and 6 from center 10: radius 4.
   EXPECT_DOUBLE_EQ(result.radius, 4.0);
   EXPECT_EQ(result.witness, 2u);
@@ -23,27 +23,60 @@ TEST(CoveringRadius, ZeroWhenCentersCoverAll) {
   const PointSet ps{{0.0, 0.0}, {5.0, 5.0}};
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
-  const auto result = covering_radius(oracle, all, all, false);
+  const auto result = covering_radius(oracle, all, all);
   EXPECT_DOUBLE_EQ(result.radius, 0.0);
 }
 
-TEST(CoveringRadius, ParallelMatchesSequential) {
-  const PointSet ps = test::small_gaussian_instance(6, 500, 1);
-  const DistanceOracle oracle(ps);
+// Evaluation on the execution substrate: an oracle bound to a pool
+// (sharded covering scan, assignment chunks fanned out over
+// parallel_for) gives the same bits as an unbound one, ungated and
+// under an armed context, and an armed run charges the same evals.
+TEST(EvalOnSubstrate, PoolBoundMatchesUnboundBitForBit) {
+  const PointSet ps = test::small_gaussian_instance(6, 3000, 1);
+  ASSERT_GE(ps.size(), 4u * 4096u);  // four assignment chunks of 4096+
   const auto all = ps.all_indices();
-  const std::vector<index_t> centers{0, 100, 700, 1500};
-  const auto par = covering_radius(oracle, all, centers, true);
-  const auto seq = covering_radius(oracle, all, centers, false);
-  EXPECT_DOUBLE_EQ(par.radius, seq.radius);
+  const std::vector<index_t> centers{0, 100, 700, 1500, 9000, 17000};
+  const auto pool = exec::make_backend(exec::BackendKind::ThreadPool, 4);
+  DistanceOracle unbound(ps);
+  DistanceOracle bound(ps);
+  bound.bind_executor(pool.get());
+
+  const auto expect_same = [&] {
+    const auto want = covering_radius(unbound, all, centers);
+    const auto got = covering_radius(bound, all, centers);
+    EXPECT_EQ(got.radius_comparable, want.radius_comparable);
+    EXPECT_EQ(got.radius, want.radius);
+    EXPECT_EQ(got.witness, want.witness);
+    EXPECT_EQ(assign_clusters(bound, all, centers),
+              assign_clusters(unbound, all, centers));
+  };
+  {
+    SCOPED_TRACE("ungated");
+    expect_same();
+  }
+
+  exec::ChunkContext unbound_ctx;
+  unbound_ctx.budget = std::make_shared<exec::EvalBudget>(1ull << 40);
+  exec::ChunkContext bound_ctx;
+  bound_ctx.budget = std::make_shared<exec::EvalBudget>(1ull << 40);
+  unbound.bind_context(&unbound_ctx);
+  bound.bind_context(&bound_ctx);
+  {
+    SCOPED_TRACE("armed");
+    expect_same();
+  }
+  // One covering scan and one assignment pass per armed oracle.
+  EXPECT_EQ(bound_ctx.budget->consumed(), unbound_ctx.budget->consumed());
+  EXPECT_EQ(bound_ctx.budget->consumed(), 2u * ps.size() * centers.size());
 }
 
 TEST(CoveringRadius, ValidatesInput) {
   const PointSet ps{{0.0, 0.0}};
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
-  EXPECT_THROW((void)covering_radius(oracle, all, {}, false),
+  EXPECT_THROW((void)covering_radius(oracle, all, {}),
                std::invalid_argument);
-  EXPECT_THROW((void)covering_radius(oracle, {}, all, false),
+  EXPECT_THROW((void)covering_radius(oracle, {}, all),
                std::invalid_argument);
 }
 
@@ -52,7 +85,7 @@ TEST(AssignClusters, NearestCenterWins) {
   const DistanceOracle oracle(ps);
   const auto all = ps.all_indices();
   const std::vector<index_t> centers{0, 1};
-  const auto assignment = assign_clusters(oracle, all, centers, false);
+  const auto assignment = assign_clusters(oracle, all, centers);
   EXPECT_EQ(assignment[0], 0u);
   EXPECT_EQ(assignment[1], 1u);
   EXPECT_EQ(assignment[2], 0u);
@@ -83,7 +116,7 @@ TEST(ClusterStats, MaxRadiusEqualsCoveringRadius) {
   const auto all = ps.all_indices();
   const auto gon = gonzalez(oracle, all, 5);
   const auto stats = cluster_stats(oracle, all, gon.centers);
-  const auto cover = covering_radius(oracle, all, gon.centers, false);
+  const auto cover = covering_radius(oracle, all, gon.centers);
   EXPECT_NEAR(stats.max_radius, cover.radius, 1e-9);
 }
 

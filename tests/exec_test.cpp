@@ -196,7 +196,7 @@ TEST(Scheduler, PropagatesFirstException) {
                              if (lo == 7) throw std::runtime_error("chunk 7");
                            }),
       std::runtime_error);
-  // Every chunk is still attempted (OpenMP-matching semantics).
+  // Every chunk is still attempted.
   EXPECT_EQ(executed.load(), 32);
   // And the scheduler remains usable afterwards.
   std::atomic<int> after{0};
@@ -407,13 +407,10 @@ TEST(Scheduler, DestructorPropagatesTaskExceptionToWaiter) {
 TEST(Backend, ParseAndToStringRoundTrip) {
   EXPECT_EQ(parse_backend("seq"), BackendKind::Sequential);
   EXPECT_EQ(parse_backend("sequential"), BackendKind::Sequential);
-  EXPECT_EQ(parse_backend("omp"), BackendKind::OpenMP);
-  EXPECT_EQ(parse_backend("openmp"), BackendKind::OpenMP);
   EXPECT_EQ(parse_backend("pool"), BackendKind::ThreadPool);
   EXPECT_EQ(parse_backend("threadpool"), BackendKind::ThreadPool);
   EXPECT_EQ(parse_backend("gpu"), std::nullopt);
-  for (const auto kind : {BackendKind::Sequential, BackendKind::OpenMP,
-                          BackendKind::ThreadPool}) {
+  for (const auto kind : {BackendKind::Sequential, BackendKind::ThreadPool}) {
     EXPECT_EQ(parse_backend(to_string(kind)), kind);
   }
 }
@@ -421,14 +418,9 @@ TEST(Backend, ParseAndToStringRoundTrip) {
 TEST(Backend, FactoryHonorsAvailability) {
   EXPECT_EQ(make_backend(BackendKind::Sequential)->name(), "sequential");
   EXPECT_EQ(make_backend(BackendKind::ThreadPool, 2)->name(), "threadpool");
-  EXPECT_TRUE(backend_available(BackendKind::Sequential));
-  EXPECT_TRUE(backend_available(BackendKind::ThreadPool));
-  if (backend_available(BackendKind::OpenMP)) {
-    EXPECT_EQ(make_backend(BackendKind::OpenMP)->name(), "openmp");
-  } else {
-    // No silent degrade: requesting the missing backend throws.
-    EXPECT_THROW((void)make_backend(BackendKind::OpenMP), std::runtime_error);
-  }
+  // No silent degrade: a kind the factory cannot build throws.
+  EXPECT_THROW((void)make_backend(static_cast<BackendKind>(1)),
+               std::invalid_argument);
 }
 
 TEST(Backend, SequentialRunsTasksInOrder) {
@@ -447,7 +439,6 @@ class BackendParam
     : public ::testing::TestWithParam<BackendKind> {};
 
 TEST_P(BackendParam, RunsAllTasksAndPropagatesException) {
-  if (!backend_available(GetParam())) GTEST_SKIP() << "backend unavailable";
   const auto backend = make_backend(GetParam(), 4);
 
   std::vector<std::atomic<int>> hits(16);
@@ -471,7 +462,6 @@ TEST_P(BackendParam, RunsAllTasksAndPropagatesException) {
 }
 
 TEST_P(BackendParam, ParallelForCoversRangeDisjointly) {
-  if (!backend_available(GetParam())) GTEST_SKIP() << "backend unavailable";
   const auto backend = make_backend(GetParam(), 4);
   std::vector<std::atomic<int>> hits(10'000);
   backend->parallel_for(hits.size(), 128, [&](std::size_t lo, std::size_t hi) {
@@ -482,7 +472,6 @@ TEST_P(BackendParam, ParallelForCoversRangeDisjointly) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendParam,
                          ::testing::Values(BackendKind::Sequential,
-                                           BackendKind::OpenMP,
                                            BackendKind::ThreadPool),
                          [](const auto& param_info) {
                            return std::string(to_string(param_info.param));

@@ -158,8 +158,7 @@ TEST(Integration, NonEuclideanEndToEnd) {
     const mr::SimCluster cluster(6);
     const auto result = mrg(oracle, all, 6, cluster, {});
     EXPECT_EQ(result.centers.size(), 6u);
-    const auto value = eval::covering_radius(oracle, all, result.centers,
-                                             false);
+    const auto value = eval::covering_radius(oracle, all, result.centers);
     EXPECT_GT(value.radius, 0.0);
   }
 }

@@ -295,9 +295,6 @@ TEST(SimCluster, BackendsProduceSameResults) {
   };
   const auto seq = run_with(exec::BackendKind::Sequential);
   EXPECT_EQ(seq, run_with(exec::BackendKind::ThreadPool));
-  if (exec::backend_available(exec::BackendKind::OpenMP)) {
-    EXPECT_EQ(seq, run_with(exec::BackendKind::OpenMP));
-  }
 }
 
 TEST(SimCluster, RecordsEffectiveBackendInRoundStats) {
@@ -308,14 +305,6 @@ TEST(SimCluster, RecordsEffectiveBackendInRoundStats) {
   EXPECT_EQ(trace.rounds()[0].backend, "threadpool");
   EXPECT_NE(trace.rounds()[0].summary().find("exec=threadpool"),
             std::string::npos);
-}
-
-TEST(SimCluster, UnavailableBackendThrowsInsteadOfDegrading) {
-  if (exec::backend_available(exec::BackendKind::OpenMP)) {
-    GTEST_SKIP() << "OpenMP is available in this build";
-  }
-  EXPECT_THROW(SimCluster(2, 0, exec::BackendKind::OpenMP),
-               std::runtime_error);
 }
 
 // ---------------------------------------------------------------- trace

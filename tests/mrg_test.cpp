@@ -165,21 +165,6 @@ TEST(Mrg, ShuffledPartitionIsSeedDeterministic) {
   EXPECT_EQ(a.centers, b.centers);
 }
 
-TEST(Mrg, OpenMPExecutionMatchesSequential) {
-  if (!exec::backend_available(exec::BackendKind::OpenMP)) {
-    GTEST_SKIP() << "built without OpenMP";
-  }
-  const PointSet ps = test::small_gaussian_instance(5, 200, 11);
-  const DistanceOracle oracle(ps);
-  const auto all = ps.all_indices();
-  const mr::SimCluster seq(8, 0, exec::BackendKind::Sequential);
-  const mr::SimCluster omp(8, 0, exec::BackendKind::OpenMP);
-  const auto a = mrg(oracle, all, 5, seq, default_options(7));
-  const auto b = mrg(oracle, all, 5, omp, default_options(7));
-  EXPECT_EQ(a.centers, b.centers);
-  EXPECT_EQ(a.reduce_rounds, b.reduce_rounds);
-}
-
 TEST(Mrg, HochbaumShmoysAsInnerAlgorithm) {
   const PointSet ps = test::small_gaussian_instance(4, 100, 12);
   const DistanceOracle oracle(ps);

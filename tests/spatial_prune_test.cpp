@@ -144,7 +144,6 @@ TEST(SpatialIndex, CellMindistNeverExceedsAnyMemberDistance) {
 class PrunedScans : public ::testing::TestWithParam<exec::BackendKind> {};
 
 TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
-  if (!exec::backend_available(GetParam())) GTEST_SKIP();
   const auto backend = exec::make_backend(GetParam(), 4);
 
   Rng rng(2024);
@@ -204,7 +203,6 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
 }
 
 TEST_P(PrunedScans, GonzalezRunsBitIdenticalWithPruning) {
-  if (!exec::backend_available(GetParam())) GTEST_SKIP();
   const auto backend = exec::make_backend(GetParam(), 4);
 
   Rng rng(77);
@@ -241,7 +239,6 @@ TEST_P(PrunedScans, GonzalezRunsBitIdenticalWithPruning) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, PrunedScans,
                          ::testing::Values(exec::BackendKind::Sequential,
-                                           exec::BackendKind::OpenMP,
                                            exec::BackendKind::ThreadPool),
                          [](const auto& param_info) {
                            return std::string(exec::to_string(param_info.param));

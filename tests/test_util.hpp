@@ -44,12 +44,11 @@ inline bool valid_center_set(std::span<const index_t> centers,
   return true;
 }
 
-/// Covering radius in reported scale, sequential (no OpenMP) so tests
-/// are deterministic in work accounting too.
+/// Covering radius in reported scale.
 inline double value_of(const DistanceOracle& oracle,
                        std::span<const index_t> pts,
                        std::span<const index_t> centers) {
-  return eval::covering_radius(oracle, pts, centers, /*parallel=*/false).radius;
+  return eval::covering_radius(oracle, pts, centers).radius;
 }
 
 /// The hand-crafted 1-D instance on which 2-round MRG with block

@@ -47,8 +47,9 @@ has reached that PR, the waiver turns into a `waiver-expired` finding:
     code();  // kc-lint: allow(wallclock) operator-facing log line only
     tmp();   // kc-lint: allow(guarded-by, until=PR14) migration shim
 
-The current PR number is one past the CHANGES.md entry count (one
-line per merged PR), overridable with --current-pr.
+The current PR number is one past the highest `- PR <n>` entry in
+CHANGES.md (a PR that left no entry does not slow the clock),
+overridable with --current-pr.
 
 Usage:
     tools/kc_lint.py --src src --compile-commands build/compile_commands.json
@@ -82,18 +83,24 @@ class Finding:
 WAIVER_RE = re.compile(
     r"//\s*kc-lint:\s*allow\((?P<rules>[\w\-, =]+)\)(?P<reason>.*)$")
 UNTIL_RE = re.compile(r"^until=PR(\d+)$")
+LEDGER_ENTRY_RE = re.compile(r"^- PR (\d+)\b")
+
+
+def pr_from_ledger(text: str) -> int:
+    """One past the highest `- PR <n>` entry line of a CHANGES.md
+    ledger — the PR being built right now. PR numbers quoted inside an
+    entry's prose do not count."""
+    return max((int(m.group(1)) for ln in text.splitlines()
+                if (m := LEDGER_ENTRY_RE.match(ln))), default=0) + 1
 
 
 def current_pr_number(repo_root: Path) -> int | None:
-    """One past the number of CHANGES.md entries — the PR being built
-    right now. None (expiry unenforced) when the ledger is absent."""
-    changes = repo_root / "CHANGES.md"
+    """pr_from_ledger over the repo's CHANGES.md; None (expiry
+    unenforced) when the ledger is absent."""
     try:
-        entries = [ln for ln in changes.read_text().splitlines()
-                   if ln.strip()]
+        return pr_from_ledger((repo_root / "CHANGES.md").read_text())
     except OSError:
         return None
-    return len(entries) + 1
 
 
 def parse_waivers(lines: list[str], path: Path, findings: list[Finding],
@@ -355,8 +362,17 @@ def self_test(fixtures: Path, repo_root: Path) -> int:
     # Fixtures pin expiry behavior with far-off deadlines (until=PR3 is
     # always expired, until=PR9999 never is), so any current PR in the
     # repo's realistic lifetime asserts both sides. The real ledger
-    # count keeps the self-test honest about the derivation path too.
+    # keeps the self-test honest about the derivation path too.
     current_pr = current_pr_number(repo_root) or 10
+    # A ledger with gaps: PRs 3, 4 and 6 left no entry, and the prose
+    # quotes later PR numbers. The counter must still read 8.
+    gapped = ("- PR 1: first\n- PR 2: second\n\n"
+              "- PR 5: fixes PR 9 and re-dates an until=PR30 waiver\n"
+              "- PR 7: last\n")
+    if pr_from_ledger(gapped) != 8:
+        print(f"FAIL (ledger with gaps): read PR{pr_from_ledger(gapped)}, "
+              "want PR8", file=sys.stderr)
+        failures += 1
     for path in good:
         if path.suffix not in (".cpp", ".hpp"):
             continue
@@ -409,7 +425,7 @@ def main(argv: list[str]) -> int:
                         help="run against the fixture corpus and exit")
     parser.add_argument("--current-pr", type=int, default=None,
                         help="PR number for waiver expiry (default: "
-                             "derived from CHANGES.md entry count + 1)")
+                             "highest CHANGES.md `- PR <n>` entry + 1)")
     args = parser.parse_args(argv)
 
     repo_root = args.src.resolve().parent
