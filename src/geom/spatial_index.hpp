@@ -90,10 +90,15 @@ class SpatialIndex {
   /// Builds the index over `points` (not owned; must outlive the
   /// index). The cell width starts from a GON-style radius probe — one
   /// scalar distance scan from the first point gives the data radius —
-  /// and doubles until the occupied-cell count fits a cap derived from
-  /// n, so degenerate inputs (duplicates, outliers) settle into few
-  /// cells instead of millions. Costs one O(n * dim) scan plus an
-  /// O(n log n) sort; spends no tracked distance evaluations.
+  /// and doubles until the occupied-cell count fits a cap of n / 16,
+  /// so degenerate inputs (duplicates, outliers) settle into few cells
+  /// instead of millions, then halves while clustered data still
+  /// splits. Each width trial is one O(n * dim) pass that hash-counts
+  /// distinct cell keys and stops as soon as the count passes the cap.
+  /// The kept width takes one more pass that numbers each point's
+  /// cell, a sort of the distinct keys only, and one stable counting
+  /// sort of the ids: cells in lexicographic key order, ascending ids
+  /// within a cell. Spends no tracked distance evaluations.
   explicit SpatialIndex(const PointSet& points);
 
   [[nodiscard]] const PointSet& points() const noexcept { return *points_; }
@@ -105,7 +110,8 @@ class SpatialIndex {
   }
 
   /// Point ids permuted cell-major: cell c owns order()[cell_begin(c)
-  /// .. cell_begin(c + 1)), ascending ids within a cell.
+  /// .. cell_begin(c + 1)), cells in lexicographic order of their grid
+  /// keys, ascending ids within a cell.
   [[nodiscard]] std::span<const index_t> order() const noexcept {
     return order_;
   }

@@ -290,16 +290,16 @@ TEST(Scheduler, NonLifoGroupDestructionKeepsTheLeaseSound) {
   // must not free the slot under it (another thread could then co-own
   // the deque). The surviving group keeps submitting afterwards.
   Scheduler scheduler(4);
-  int ran = 0;
+  std::atomic<int> ran{0};
   auto g1 = std::make_unique<TaskGroup>(scheduler);
   TaskGroup g2(scheduler);
-  g1->submit([&ran] { ++ran; });
-  g2.submit([&ran] { ++ran; });
+  g1->submit([&ran] { ran.fetch_add(1); });
+  g2.submit([&ran] { ran.fetch_add(1); });
   g1->wait();
   g1.reset();  // non-LIFO: the oldest group dies first
-  g2.submit([&ran] { ++ran; });
+  g2.submit([&ran] { ran.fetch_add(1); });
   g2.wait();
-  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(ran.load(), 3);
 }
 
 TEST(Scheduler, ResubmitAfterCompletionNeverDropsWork) {

@@ -6,6 +6,7 @@
 // gating contract as the unpruned scans on every backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -113,6 +114,214 @@ TEST(SpatialIndex, CellsPartitionPointsAndBoxesContainMembers) {
       }
       for (const bool s : seen) EXPECT_TRUE(s);
     }
+  }
+}
+
+// ------------------------------------------------ reference construction
+
+/// Every field a SpatialIndex exposes, captured for bitwise comparison.
+struct IndexFields {
+  double width = 0.0;
+  std::vector<index_t> order;
+  std::vector<std::size_t> cell_begin;
+  std::vector<std::uint32_t> cell_of;
+  std::vector<double> rows;
+  std::vector<double> bbox;  ///< per cell: dim lows, dim highs
+};
+
+IndexFields fields_of(const SpatialIndex& index) {
+  const std::size_t dim = index.dim();
+  IndexFields f;
+  f.width = index.cell_width();
+  f.order.assign(index.order().begin(), index.order().end());
+  for (std::size_t c = 0; c <= index.cell_count(); ++c) {
+    f.cell_begin.push_back(index.cell_begin(c));
+  }
+  for (index_t id = 0; id < index.size(); ++id) {
+    f.cell_of.push_back(index.cell_of(id));
+  }
+  f.rows.assign(index.rows(), index.rows() + index.size() * dim);
+  for (std::size_t c = 0; c < index.cell_count(); ++c) {
+    f.bbox.insert(f.bbox.end(), index.cell_lo(c), index.cell_lo(c) + dim);
+    f.bbox.insert(f.bbox.end(), index.cell_hi(c), index.cell_hi(c) + dim);
+  }
+  return f;
+}
+
+/// Reference build: the comparator-sort construction that preceded the
+/// counting build, for this test only. Same probe, initial width,
+/// doubling and halving rules, caps and attempt limit, but every width
+/// trial snaps all n points into an n * dim key array and re-sorts the
+/// ids over it; the layout walks the final sorted order.
+IndexFields reference_index(const PointSet& points) {
+  constexpr std::size_t kTargetOccupancy = 1024;
+  constexpr std::size_t kMinOccupancy = 16;
+  const std::size_t n = points.size();
+  const std::size_t dim = points.dim();
+  IndexFields f;
+  f.order.resize(n);
+  std::iota(f.order.begin(), f.order.end(), index_t{0});
+  f.cell_of.assign(n, 0);
+
+  double radius = 0.0;
+  for (index_t i = 0; i < n; ++i) {
+    double d = 0.0;
+    for (std::size_t c = 0; c < dim; ++c) {
+      d = std::max(d, std::fabs(points[i][c] - points[0][c]));
+    }
+    radius = std::max(radius, d);
+  }
+  double width = 1.0;
+  if (radius > 0.0) {
+    const double target_cells =
+        std::max(1.0, static_cast<double>(n) /
+                          static_cast<double>(kTargetOccupancy));
+    const double per_axis = std::clamp(
+        std::ceil(std::pow(target_cells, 1.0 / static_cast<double>(dim))),
+        1.0, 4096.0);
+    width = 2.0 * radius / per_axis;
+  }
+
+  std::vector<std::int64_t> keys(n * dim);
+  const auto same_key = [&](index_t a, index_t b) {
+    return std::equal(keys.begin() + a * dim, keys.begin() + (a + 1) * dim,
+                      keys.begin() + b * dim);
+  };
+  const std::size_t cell_cap = std::max<std::size_t>(1, n / kMinOccupancy);
+  const auto regrid = [&](double w) -> std::size_t {
+    for (index_t i = 0; i < n; ++i) {
+      grid_cell_key(points[i], w, {keys.data() + i * dim, dim});
+    }
+    std::sort(f.order.begin(), f.order.end(), [&](index_t a, index_t b) {
+      for (std::size_t c = 0; c < dim; ++c) {
+        if (keys[a * dim + c] != keys[b * dim + c]) {
+          return keys[a * dim + c] < keys[b * dim + c];
+        }
+      }
+      return a < b;
+    });
+    std::size_t occupied = 1;
+    for (std::size_t j = 1; j < n; ++j) {
+      if (!same_key(f.order[j - 1], f.order[j])) ++occupied;
+    }
+    return occupied;
+  };
+
+  std::size_t occupied = regrid(width);
+  int attempts = 0;
+  while (occupied > cell_cap && attempts++ < 200) {
+    width *= 2.0;
+    occupied = regrid(width);
+  }
+  while (attempts++ < 200 && occupied * kTargetOccupancy < n) {
+    const double half = width / 2.0;
+    if (!(half > 0.0) || !std::isfinite(half)) break;
+    const std::size_t split = regrid(half);
+    if (split > cell_cap || split <= occupied) {
+      regrid(width);
+      break;
+    }
+    width = half;
+    occupied = split;
+  }
+  f.width = width;
+
+  for (std::size_t j = 0; j < n; ++j) {
+    const index_t id = f.order[j];
+    const std::span<const double> p = points[id];
+    if (j == 0 || !same_key(f.order[j - 1], id)) {
+      f.cell_begin.push_back(j);
+      f.bbox.insert(f.bbox.end(), p.begin(), p.end());
+      f.bbox.insert(f.bbox.end(), p.begin(), p.end());
+    } else {
+      double* lo = f.bbox.data() + f.bbox.size() - 2 * dim;
+      double* hi = lo + dim;
+      for (std::size_t c = 0; c < dim; ++c) {
+        lo[c] = std::min(lo[c], p[c]);
+        hi[c] = std::max(hi[c], p[c]);
+      }
+    }
+    f.cell_of[id] = static_cast<std::uint32_t>(f.cell_begin.size() - 1);
+    f.rows.insert(f.rows.end(), p.begin(), p.end());
+  }
+  f.cell_begin.push_back(n);
+  return f;
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::transform(v.begin(), v.end(), out.begin(),
+                 [](double x) { return std::bit_cast<std::uint64_t>(x); });
+  return out;
+}
+
+void expect_same_index(const PointSet& pts) {
+  const SpatialIndex index(pts);
+  const IndexFields got = fields_of(index);
+  const IndexFields want = reference_index(pts);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.width),
+            std::bit_cast<std::uint64_t>(want.width))
+      << got.width << " vs " << want.width;
+  EXPECT_EQ(got.cell_begin, want.cell_begin);
+  EXPECT_EQ(got.order, want.order);
+  EXPECT_EQ(got.cell_of, want.cell_of);
+  EXPECT_EQ(bits_of(got.rows), bits_of(want.rows));
+  EXPECT_EQ(bits_of(got.bbox), bits_of(want.bbox));
+}
+
+TEST(SpatialIndex, MatchesTheComparatorSortBuildFieldForField) {
+  // The counting build must reproduce the sort-based index exactly:
+  // same tuned width, cells in lexicographic key order, ascending ids
+  // within a cell, bitwise rows and boxes — so every pruned scan and
+  // pairs_pruned count downstream is unchanged.
+  Rng rng(4242);
+  for (int shape = 0; shape < 3; ++shape) {
+    for (const std::size_t dim : {1u, 2u, 3u, 7u, 8u}) {
+      for (const std::size_t n : {1u, 15u, 17u, 4096u, 20000u}) {
+        SCOPED_TRACE(std::string(shape_name(shape)) + " dim=" +
+                     std::to_string(dim) + " n=" + std::to_string(n));
+        expect_same_index(make_input(shape, n, dim, rng));
+      }
+    }
+  }
+
+  {
+    SCOPED_TRACE("far outlier beside a tight cluster");
+    PointSet pts = data::generate_gau(5000, 1, 2, 1.0, 1e-3, rng);
+    pts.push_back(std::vector<double>{1e15, -1e15});
+    expect_same_index(pts);
+  }
+
+  {
+    // +0.0 and -0.0 snap to one cell and compare equal, so which one a
+    // box keeps depends on the order members are folded in.
+    SCOPED_TRACE("signed zeros in one cell");
+    PointSet pts{{0.0, -0.0}, {-0.0, 0.0}, {-0.0, -0.0}, {0.0, 0.0}};
+    for (int i = 1; i <= 60; ++i) {
+      pts.push_back(std::vector<double>{i * 3.0, -i * 7.0});
+    }
+    expect_same_index(pts);
+    const SpatialIndex index(pts);
+    const std::size_t zero_cell = index.cell_of(0);
+    EXPECT_EQ(index.cell_of(1), zero_cell);
+    EXPECT_EQ(index.cell_of(2), zero_cell);
+    EXPECT_EQ(index.cell_of(3), zero_cell);
+    EXPECT_FALSE(std::signbit(index.cell_lo(zero_cell)[0]));
+    EXPECT_TRUE(std::signbit(index.cell_lo(zero_cell)[1]));
+  }
+
+  {
+    // Every axis splits at the origin at any width, so coarsening gives
+    // up after its attempt limit with the cell count still above the
+    // cap: the final pass must hold far more keys than the trials do.
+    SCOPED_TRACE("16-D uniform straddling the origin");
+    const std::size_t n = 20000;
+    const PointSet unif = data::generate_unif(n, 16, 100.0, rng);
+    std::vector<double> coords(unif.raw().begin(), unif.raw().end());
+    for (double& x : coords) x -= 50.0;
+    const PointSet pts(16, coords);
+    expect_same_index(pts);
+    EXPECT_GT(SpatialIndex(pts).cell_count(), n / 16);
   }
 }
 
