@@ -219,7 +219,7 @@ void bench_dispatch(const Config& cfg, std::vector<Entry>& entries) {
   const auto chunk_counts = {static_cast<std::size_t>(cfg.threads),
                              std::size_t{64}, std::size_t{512}};
   for (const std::size_t chunks : chunk_counts) {
-    kc::exec::Scheduler scheduler(cfg.threads, kc::exec::env_pin_mode());
+    kc::exec::Scheduler scheduler(cfg.threads);
     const double ws = best_of(cfg.reps, [&] {
       return rounds_seconds(scheduler, rounds, chunks);
     });
@@ -243,7 +243,7 @@ void bench_dispatch(const Config& cfg, std::vector<Entry>& entries) {
 
 /// 2. Steal rate under a skewed round.
 void bench_steals(const Config& cfg, std::vector<Entry>& entries) {
-  kc::exec::Scheduler scheduler(cfg.threads, kc::exec::env_pin_mode());
+  kc::exec::Scheduler scheduler(cfg.threads);
   const int rounds = cfg.quick ? 20 : 100;
   const auto before = scheduler.stats();
   for (int r = 0; r < rounds; ++r) {
@@ -322,25 +322,17 @@ void write_json(const Config& cfg, const std::vector<Entry>& entries) {
   // matter how well the scheduler interleaves them. Below two hardware
   // threads every parallel measurement in this file degenerates to a
   // context-switch benchmark, so the report brands itself untrusted —
-  // downstream tooling must not regress-gate on those numbers. The
-  // same branding applies when pinning was requested (KC_PIN) but the
-  // host cannot engage the hardware half (restricted or single-node):
-  // the run then measures software placement only, not the pinned
-  // configuration its header claims.
+  // downstream tooling must not regress-gate on those numbers.
   const unsigned hw = std::thread::hardware_concurrency();
   const kc::exec::Topology& topo = kc::exec::topology();
-  const kc::exec::PinMode pin = kc::exec::env_pin_mode();
   out << "{\n  \"bench\": \"exec\",\n  \"threads\": " << cfg.threads
       << ",\n  \"hw_concurrency\": " << hw
       << ",\n  \"topology\": {\"nodes\": " << topo.nodes
       << ", \"cores\": " << topo.cores
       << ", \"hw_threads\": " << topo.hw_threads
       << ", \"restricted\": " << (topo.restricted ? "true" : "false")
-      << "},\n  \"pin\": \"" << kc::exec::to_string(pin) << "\"";
-  if (hw < 2 || (pin != kc::exec::PinMode::Off &&
-                 !kc::exec::pin_hardware_available())) {
-    out << ",\n  \"untrusted\": true";
-  }
+      << "}";
+  if (hw < 2) out << ",\n  \"untrusted\": true";
   // Tooling provenance: which static-analysis frontend gated the tree
   // this build ("plugin" = kc-* clang-tidy module, "extractor" = the
   // Python lock-order fallback, "unknown" = no configure stamp found,
@@ -393,19 +385,11 @@ int main(int argc, char** argv) {
 
   const unsigned hw = std::thread::hardware_concurrency();
   const kc::exec::Topology& topo = kc::exec::topology();
-  const kc::exec::PinMode pin = kc::exec::env_pin_mode();
-  std::printf("hardware threads: %u   pool threads: %d   nodes: %d   "
-              "pin: %s%s%s\n",
+  std::printf("hardware threads: %u   pool threads: %d   nodes: %d%s\n",
               hw, cfg.threads, topo.nodes,
-              std::string(kc::exec::to_string(pin)).c_str(),
               hw < 2 ? "   [UNTRUSTED: parallel timings are meaningless "
                        "below 2 hardware threads]"
-                     : "",
-              pin != kc::exec::PinMode::Off &&
-                      !kc::exec::pin_hardware_available()
-                  ? "   [UNTRUSTED: pinning requested but hardware "
-                    "pinning is unavailable on this host]"
-                  : "");
+                     : "");
 
   std::vector<Entry> entries;
   bench_dispatch(cfg, entries);

@@ -413,7 +413,6 @@ void write_json(const std::vector<Cell>& cells, const MatrixConfig& cfg,
     return;
   }
   const kc::exec::Topology& topo = kc::exec::topology();
-  const kc::exec::PinMode pin = kc::exec::env_pin_mode();
   out << "{\n  \"bench\": \"kernels\",\n"
       << "  \"active_isa\": \"" << kc::simd::active_kernels().name << "\",\n"
       << "  \"n\": " << cfg.n << ",\n"
@@ -421,15 +420,7 @@ void write_json(const std::vector<Cell>& cells, const MatrixConfig& cfg,
       << ", \"cores\": " << topo.cores
       << ", \"hw_threads\": " << topo.hw_threads
       << ", \"restricted\": " << (topo.restricted ? "true" : "false")
-      << "},\n  \"pin\": \"" << kc::exec::to_string(pin) << "\"";
-  // Pinning requested but the hardware half cannot engage (restricted
-  // or single-node host): the numbers are still valid single-thread
-  // timings, but a report that *claims* a pinned configuration without
-  // delivering one must not be regress-gated as that configuration.
-  if (pin != kc::exec::PinMode::Off && !kc::exec::pin_hardware_available()) {
-    out << ",\n  \"untrusted\": true";
-  }
-  out << ",\n  \"entries\": [\n";
+      << "},\n  \"entries\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const auto& c = cells[i];
     out << "    {\"isa\": \"" << c.isa << "\", \"kernel\": \"" << c.kernel

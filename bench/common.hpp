@@ -31,6 +31,7 @@
 #include "cli/algos.hpp"
 #include "cli/args.hpp"
 #include "core/kcenter.hpp"
+#include "geom/spatial_index.hpp"
 #include "harness/experiment.hpp"
 #include "harness/format.hpp"
 #include "harness/gnuplot.hpp"
@@ -128,10 +129,11 @@ inline void print_banner(const std::string& experiment,
   std::printf("=== %s ===\n%s\n", experiment.c_str(), description.c_str());
   std::printf(
       "protocol: m=%d simulated machines, %d graph(s) x %d run(s), "
-      "exec=%.*s%s%s\n\n",
+      "exec=%.*s prune=%s%s%s\n\n",
       options.machines, options.graphs, options.runs,
       static_cast<int>(kc::exec::to_string(options.exec).size()),
       kc::exec::to_string(options.exec).data(),
+      kc::force_no_prune_requested() ? "off (KC_FORCE_NO_PRUNE)" : "auto",
       options.full ? " [--full: paper scale]" : "",
       options.quick ? " [--quick]" : "");
 }

@@ -46,11 +46,7 @@ int main(int argc, char** argv) {
     // dimension the Solver builds a grid spatial index and the hot
     // scans skip geometrically hopeless work — bit-identical results,
     // with the skipped pairs reported in SolveReport::pairs_pruned
-    // (set request.prune = kc::PruneMode::Off to opt out). On the
-    // thread-pool backend (request.exec.kind = BackendKind::ThreadPool)
-    // the KC_PIN=core|node environment knob — or request.exec.pin —
-    // pins workers for NUMA locality; like pruning, it changes timing
-    // only, never a byte of the report.
+    // (set request.prune = kc::PruneMode::Off to opt out).
     kc::api::SolveRequest request;
     request.points = &data;
     request.k = k;

@@ -129,6 +129,7 @@ void install_hooks(const SolveContext& ctx, Options& options) {
 void fill_from_trace(SolveReport& report, mr::JobTrace trace) {
   report.rounds = trace.num_rounds();
   report.dist_evals = trace.total_dist_evals();
+  report.pairs_pruned = trace.total_pairs_pruned();
   report.sim_seconds = trace.simulated_seconds();
   report.trace = std::move(trace);
 }

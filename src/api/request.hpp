@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <variant>
 
@@ -58,11 +57,6 @@ template <typename T>
 struct ExecSpec {
   exec::BackendKind kind = exec::BackendKind::Sequential;
   int threads = 0;  ///< 0 = backend default (hardware concurrency)
-
-  /// Worker pinning for the thread-pool backend (exec/topology.hpp):
-  /// nullopt defers to the KC_PIN environment variable. Pure placement
-  /// — reports are byte-identical across off/core/node.
-  std::optional<exec::PinMode> pin;
 
   /// When set, used directly and `kind`/`threads` are ignored — one
   /// persistent thread pool can serve many requests and Solvers.

@@ -92,19 +92,16 @@ std::shared_ptr<exec::ExecutionBackend> Solver::resolve_backend(
   if (request.exec.backend != nullptr) return request.exec.backend;
   if (pinned_ != nullptr) return pinned_;
   if (cached_ != nullptr && cached_kind_ == request.exec.kind &&
-      cached_threads_ == request.exec.threads &&
-      cached_pin_ == request.exec.pin) {
+      cached_threads_ == request.exec.threads) {
     return cached_;
   }
   try {
-    cached_ = exec::make_backend(request.exec.kind, request.exec.threads,
-                                 request.exec.pin);
+    cached_ = exec::make_backend(request.exec.kind, request.exec.threads);
   } catch (const std::exception& e) {
     throw Error(ErrorKind::UnsupportedBackend, e.what());
   }
   cached_kind_ = request.exec.kind;
   cached_threads_ = request.exec.threads;
-  cached_pin_ = request.exec.pin;
   return cached_;
 }
 

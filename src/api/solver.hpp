@@ -70,7 +70,6 @@ class Solver {
   std::shared_ptr<exec::ExecutionBackend> last_;    ///< last solve's backend
   exec::BackendKind cached_kind_ = exec::BackendKind::Sequential;
   int cached_threads_ = 0;
-  std::optional<exec::PinMode> cached_pin_;
 };
 
 }  // namespace kc::api

@@ -73,14 +73,12 @@ void ThreadPoolBackend::parallel_for(std::size_t n, std::size_t grain,
 
 // ---------------------------------------------------------------- factory
 
-std::shared_ptr<ExecutionBackend> make_backend(BackendKind kind, int threads,
-                                               std::optional<PinMode> pin) {
+std::shared_ptr<ExecutionBackend> make_backend(BackendKind kind, int threads) {
   switch (kind) {
     case BackendKind::Sequential:
       return std::make_shared<SequentialBackend>();
     case BackendKind::ThreadPool:
-      return std::make_shared<ThreadPoolBackend>(threads,
-                                                 pin.value_or(env_pin_mode()));
+      return std::make_shared<ThreadPoolBackend>(threads);
   }
   throw std::invalid_argument("exec: unknown backend kind");
 }

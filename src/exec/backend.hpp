@@ -96,11 +96,8 @@ class SequentialBackend final : public ExecutionBackend {
 /// Persistent workers behind the work-stealing scheduler.
 class ThreadPoolBackend final : public ExecutionBackend {
  public:
-  /// `threads <= 0` uses std::thread::hardware_concurrency(). `pin`
-  /// engages topology-aware placement (see Scheduler) — byte-identical
-  /// results, potentially better memory locality.
-  explicit ThreadPoolBackend(int threads = 0, PinMode pin = PinMode::Off)
-      : scheduler_(threads, pin) {}
+  /// `threads <= 0` uses std::thread::hardware_concurrency().
+  explicit ThreadPoolBackend(int threads = 0) : scheduler_(threads) {}
   [[nodiscard]] BackendKind kind() const noexcept override {
     return BackendKind::ThreadPool;
   }
@@ -117,12 +114,8 @@ class ThreadPoolBackend final : public ExecutionBackend {
 };
 
 /// Factory for the --exec flag: builds the requested backend (throws
-/// std::invalid_argument on a kind outside the enum). `pin` applies to
-/// the thread pool only (the sequential backend has no persistent
-/// workers to place); nullopt defers to the KC_PIN environment
-/// variable.
+/// std::invalid_argument on a kind outside the enum).
 [[nodiscard]] std::shared_ptr<ExecutionBackend> make_backend(
-    BackendKind kind, int threads = 0,
-    std::optional<PinMode> pin = std::nullopt);
+    BackendKind kind, int threads = 0);
 
 }  // namespace kc::exec

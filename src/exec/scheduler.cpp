@@ -5,10 +5,6 @@
 
 #include "fault/fault.hpp"
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 namespace kc::exec {
 
 namespace {
@@ -93,10 +89,6 @@ void TaskGroup::submit_chunks(
     const compat::LockGuard lock(core_.mutex);
     core_.completed = false;
   }
-  // Locality placement: with pinning engaged, chunks go to worker
-  // inboxes so contiguous point ranges land on (and stay near) the
-  // same worker's deque; stealing rebalances from there if needed.
-  const bool place = scheduler_->pin_engaged_ && chunks > 1;
   for (std::size_t c = 0; c < chunks; ++c) {
     detail::TaskNode* node = scratch_[c];
     // Relaxed: node is private until submit_node publishes it.
@@ -105,12 +97,7 @@ void TaskGroup::submit_chunks(
     const auto [lo, hi] = chunk_bounds(n, chunks, c);
     node->lo = lo;
     node->hi = hi;
-    if (place) {
-      scheduler_->submit_node_to(node,
-                                 scheduler_->chunk_target_slot(c, chunks));
-    } else {
-      scheduler_->submit_node(node, lease_slot_);
-    }
+    scheduler_->submit_node(node, lease_slot_);
   }
   scratch_.clear();
   scheduler_->notify_work();
@@ -148,7 +135,7 @@ void TaskGroup::wait() {
 
 // ------------------------------------------------------------- Scheduler
 
-Scheduler::Scheduler(int threads, PinMode pin) {
+Scheduler::Scheduler(int threads) {
   int total = threads > 0 ? threads
                           : static_cast<int>(std::thread::hardware_concurrency());
   total = std::max(total, 1);
@@ -157,37 +144,6 @@ Scheduler::Scheduler(int threads, PinMode pin) {
   slots_.reserve(static_cast<std::size_t>(worker_slots_ + kParticipantSlots));
   for (int s = 0; s < worker_slots_ + kParticipantSlots; ++s) {
     slots_.push_back(std::make_unique<Slot>());
-  }
-  // Placement tables must be complete before any worker spawns: the
-  // workers read them (without synchronization — they are immutable
-  // from here on) in worker_loop and find_any_work.
-  pin_ = pin;
-  pin_engaged_ = pin != PinMode::Off && worker_slots_ > 0;
-  slot_node_.assign(slots_.size(), 0);
-  if (pin_engaged_) {
-    const Topology& topo = topology();
-    // Affinity syscalls only help (and are only safe to issue) when we
-    // can see a whole multi-node machine; a restricted or single-node
-    // host keeps the placement logic but lets the kernel place threads.
-    pin_syscalls_ = pin_hardware_available();
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      slot_node_[s] = topo.cpus[s % topo.cpus.size()].node;
-    }
-    // Near-first steal sweeps: same-node victims (in rotation order
-    // from self), then the rest. Order affects only who runs a task.
-    steal_order_.resize(slots_.size());
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      auto& order = steal_order_[s];
-      order.reserve(slots_.size() - 1);
-      for (std::size_t i = 1; i < slots_.size(); ++i) {
-        const std::size_t victim = (s + i) % slots_.size();
-        if (slot_node_[victim] == slot_node_[s]) order.push_back(victim);
-      }
-      for (std::size_t i = 1; i < slots_.size(); ++i) {
-        const std::size_t victim = (s + i) % slots_.size();
-        if (slot_node_[victim] != slot_node_[s]) order.push_back(victim);
-      }
-    }
   }
   {
     // No worker exists yet, but the free list is guarded state — keep
@@ -361,66 +317,6 @@ void Scheduler::submit_node(detail::TaskNode* node, int slot) {
   }
 }
 
-void Scheduler::submit_node_to(detail::TaskNode* node, int target) {
-  Slot& slot = *slots_[static_cast<std::size_t>(target)];
-  const compat::LockGuard lock(slot.inbox_mutex);
-  slot.inbox.push_back(node);
-  // Relaxed: the inbox mutex publishes the node; the hint is advisory,
-  // and holding the mutex for the store orders it against the drain's
-  // clear so a posted node can never be left hinted-empty.
-  slot.inbox_hint.store(true, std::memory_order_relaxed);
-}
-
-void Scheduler::drain_inbox(int self) {
-  Slot& slot = *slots_[static_cast<std::size_t>(self)];
-  // Relaxed: advisory hint — a post we miss here is re-signalled by the
-  // submitter's notify_work, which re-runs this scan.
-  if (!slot.inbox_hint.load(std::memory_order_relaxed)) return;
-  std::vector<detail::TaskNode*> taken;
-  {
-    const compat::LockGuard lock(slot.inbox_mutex);
-    taken.swap(slot.inbox);
-    // Relaxed: cleared under the same mutex every post holds, so this
-    // can never overwrite a hint for a node we did not just take.
-    slot.inbox_hint.store(false, std::memory_order_relaxed);
-  }
-  // Owner push: these land in our own deque (or overflow to the
-  // injector), where the normal pop/steal protocol takes over.
-  for (detail::TaskNode* node : taken) submit_node(node, self);
-}
-
-detail::TaskNode* Scheduler::take_inboxed(detail::GroupCore* group) {
-  for (auto& entry : slots_) {
-    Slot& slot = *entry;
-    // Relaxed: advisory hint; the mutex below publishes the contents.
-    if (!slot.inbox_hint.load(std::memory_order_relaxed)) continue;
-    const compat::LockGuard lock(slot.inbox_mutex);
-    for (auto it = slot.inbox.begin(); it != slot.inbox.end(); ++it) {
-      // Relaxed: pointer-value comparison only; the node was published
-      // under inbox_mutex, which we hold.
-      if (group == nullptr ||
-          (*it)->group.load(std::memory_order_relaxed) == group) {
-        detail::TaskNode* node = *it;
-        slot.inbox.erase(it);
-        if (slot.inbox.empty()) {
-          // Relaxed: cleared under the posting mutex (see drain_inbox).
-          slot.inbox_hint.store(false, std::memory_order_relaxed);
-        }
-        return node;
-      }
-    }
-  }
-  return nullptr;
-}
-
-int Scheduler::chunk_target_slot(std::size_t c,
-                                 std::size_t chunks) const noexcept {
-  // c * w / chunks is monotone in c, so consecutive chunks (contiguous
-  // point ranges) collapse onto the same worker slot.
-  const auto w = static_cast<std::size_t>(worker_slots_);
-  return static_cast<int>(c * w / chunks);
-}
-
 void Scheduler::notify_work() {
   work_epoch_.fetch_add(1, std::memory_order_seq_cst);
   if (idle_workers_.load(std::memory_order_seq_cst) > 0) {
@@ -454,27 +350,11 @@ detail::TaskNode* Scheduler::take_injected(detail::GroupCore* group) {
 detail::TaskNode* Scheduler::find_any_work(int self) {
   using Claim = WorkDeque<detail::TaskNode*>::Claim;
   detail::TaskNode* node = nullptr;
-  if (self >= 0 && pin_engaged_) drain_inbox(self);
   if (self >= 0 &&
       slots_[static_cast<std::size_t>(self)]->deque.pop(node) == Claim::Ok) {
     return node;
   }
   if ((node = take_injected(nullptr)) != nullptr) return node;
-  if (self >= 0 && pin_engaged_) {
-    // Near-first sweep: victims on our node before remote ones, so
-    // stolen chunks keep reading memory our node already touched.
-    for (const std::size_t victim : steal_order_[static_cast<std::size_t>(self)]) {
-      if (slots_[victim]->deque.steal(node) == Claim::Ok) {
-        // Relaxed: monitoring counters (stats()) only.
-        slots_[static_cast<std::size_t>(self)]->stolen.fetch_add(
-            1, std::memory_order_relaxed);
-        return node;
-      }
-    }
-    // Last resort: raid a busy peer's undrained inbox rather than
-    // idle — placement is a hint, starvation is not.
-    return take_inboxed(nullptr);
-  }
   const std::size_t n = slots_.size();
   const std::size_t start =
       self >= 0 ? static_cast<std::size_t>(self) + 1
@@ -537,9 +417,6 @@ detail::TaskNode* Scheduler::find_group_work(detail::GroupCore& group,
     }
   }
   if ((node = take_injected(&group)) != nullptr) return node;
-  // Placed work may still sit in a busy or sleeping worker's inbox,
-  // unreachable through any deque — extract it directly.
-  if (pin_engaged_ && (node = take_inboxed(&group)) != nullptr) return node;
   // The sweep includes the waiter's own deque: one of our tasks can be
   // buried beneath a newer group's task at the bottom (pop_if stopped
   // at it), and with no idle worker around nobody else would ever dig
@@ -642,28 +519,6 @@ void Scheduler::wait_for_group(detail::GroupCore& group, int slot) {
 void Scheduler::worker_loop(int slot) {
   using namespace std::chrono_literals;
   t_ref = {this, slot};
-#ifdef __linux__
-  if (pin_syscalls_) {
-    // Best-effort affinity: Core pins this worker to one hardware
-    // thread, Node to its node's whole thread set. Failure is ignored
-    // — affinity affects placement only, never results.
-    const Topology& topo = topology();
-    const Topology::Cpu& home =
-        topo.cpus[static_cast<std::size_t>(slot) % topo.cpus.size()];
-    cpu_set_t set;
-    CPU_ZERO(&set);
-    if (pin_ == PinMode::Core) {
-      if (home.id >= 0 && home.id < CPU_SETSIZE) CPU_SET(home.id, &set);
-    } else {
-      for (const Topology::Cpu& cpu : topo.cpus) {
-        if (cpu.node == home.node && cpu.id >= 0 && cpu.id < CPU_SETSIZE) {
-          CPU_SET(cpu.id, &set);
-        }
-      }
-    }
-    if (CPU_COUNT(&set) > 0) (void)sched_setaffinity(0, sizeof(set), &set);
-  }
-#endif
   CompletionBatch batch;
   auto backoff = 1ms;
   for (;;) {

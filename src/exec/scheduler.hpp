@@ -50,7 +50,6 @@
 
 #include "compat/thread_safety.hpp"
 #include "exec/deque.hpp"
-#include "exec/topology.hpp"
 
 namespace kc::exec {
 
@@ -167,15 +166,7 @@ class Scheduler {
   /// Total concurrency `threads` (the submitting thread counts as one,
   /// so `threads - 1` workers are spawned). `threads <= 0` uses
   /// std::thread::hardware_concurrency().
-  ///
-  /// `pin` engages topology-aware placement (exec/topology.hpp): chunk
-  /// batches are distributed to workers as contiguous ranges via
-  /// per-slot inboxes, idle workers steal from same-node victims
-  /// first, and — only on an unrestricted multi-node host — each
-  /// worker is pinned to one hardware thread (Core) or one node's
-  /// thread set (Node). Placement may change timing, never bytes:
-  /// every task still computes exactly what it would under Off.
-  explicit Scheduler(int threads = 0, PinMode pin = PinMode::Off);
+  explicit Scheduler(int threads = 0);
 
   /// Waits for every live TaskGroup to complete — their waiters still
   /// receive results and exceptions — then joins the workers. Never
@@ -190,17 +181,6 @@ class Scheduler {
   [[nodiscard]] int workers() const noexcept {
     return static_cast<int>(threads_.size());
   }
-
-  /// The pinning policy this scheduler was built with.
-  [[nodiscard]] PinMode pin_mode() const noexcept { return pin_; }
-  /// True when placement logic (inbox distribution, near-first steal)
-  /// is active: pin requested and workers exist.
-  [[nodiscard]] bool pin_engaged() const noexcept { return pin_engaged_; }
-  /// True when workers actually issued affinity syscalls — requires an
-  /// unrestricted multi-node host on top of pin_engaged(). When a pin
-  /// was requested but this is false, report the run as placement-
-  /// untrusted: the kernel was free to migrate workers.
-  [[nodiscard]] bool pin_hardware() const noexcept { return pin_syscalls_; }
 
   /// Cuts [0, n) into `chunks` pieces (clamped to [1, n]) and runs
   /// `body(lo, hi)` for each across the pool; blocks until done and
@@ -234,15 +214,6 @@ class Scheduler {
     /// mutex orders successive holders), so acquire/release of task
     /// nodes stays off the global pool mutex in steady state.
     std::vector<detail::TaskNode*> node_cache;
-    /// Locality inbox: Chase–Lev pushes are owner-only, so a submitter
-    /// placing a chunk on *this* slot parks the node here and the
-    /// owning worker drains it into its deque. Group waiters may also
-    /// extract their own group's nodes directly (take_inboxed).
-    compat::Mutex inbox_mutex;
-    std::vector<detail::TaskNode*> inbox KC_GUARDED_BY(inbox_mutex);
-    /// Cheap maybe-nonempty hint so the hot find_any_work path skips
-    /// the inbox mutex when nothing was posted.
-    std::atomic<bool> inbox_hint{false};
   };
 
   /// Deferred group-completion tally: a run of same-group tasks
@@ -275,19 +246,6 @@ class Scheduler {
       KC_EXCLUDES(pool_mutex_);
   void submit_node(detail::TaskNode* node, int slot)
       KC_EXCLUDES(injector_mutex_);
-  /// Parks a node in `target`'s inbox (locality placement; any thread
-  /// may call it for any slot).
-  void submit_node_to(detail::TaskNode* node, int target);
-  /// Moves everything from `self`'s inbox into its deque (owner only).
-  void drain_inbox(int self);
-  /// Extracts one node of `group` from any slot's inbox, so a waiter
-  /// can reach placed work whose target worker is busy or asleep.
-  [[nodiscard]] detail::TaskNode* take_inboxed(detail::GroupCore* group);
-  /// Worker slot that chunk `c` of `chunks` should land on when
-  /// placement is engaged: contiguous chunk ranges map to the same
-  /// worker, in slot order.
-  [[nodiscard]] int chunk_target_slot(std::size_t c,
-                                      std::size_t chunks) const noexcept;
   void notify_work() KC_EXCLUDES(idle_mutex_);
   void wait_for_group(detail::GroupCore& group, int slot);
 
@@ -303,14 +261,6 @@ class Scheduler {
   std::vector<std::unique_ptr<Slot>> slots_;  ///< workers + participants
   int worker_slots_ = 0;
 
-  // Topology-aware placement (immutable after construction).
-  PinMode pin_ = PinMode::Off;
-  bool pin_engaged_ = false;   ///< placement logic active
-  bool pin_syscalls_ = false;  ///< workers issue affinity syscalls
-  std::vector<int> slot_node_;  ///< NUMA node label per slot
-  /// Per-slot steal sweep, same-node victims first (built only when
-  /// placement is engaged).
-  std::vector<std::vector<std::size_t>> steal_order_;
   std::atomic<std::uint64_t> slotless_executed_{0};
   std::atomic<std::uint64_t> slotless_stolen_{0};
   std::atomic<std::size_t> steal_rr_{0};  ///< slotless steal-sweep offset

@@ -1,11 +1,11 @@
 #include "exec/topology.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -59,7 +59,7 @@ namespace {
 }
 
 /// A safe fallback shape: hardware_concurrency() anonymous cpus on one
-/// node, marked restricted so no affinity syscalls are ever issued.
+/// node, marked restricted because the probe saw nothing.
 [[nodiscard]] Topology fallback_topology() {
   Topology topo;
   const unsigned hc = std::max(1u, std::thread::hardware_concurrency());
@@ -113,8 +113,7 @@ Topology probe_topology(const ProbeOptions& opts) {
   std::sort(node_of.begin(), node_of.end());
 
   // Intersect with the process affinity mask: a container cpuset (or
-  // taskset) narrows the usable set, and a host we cannot fully use is
-  // a host we must not re-pin.
+  // taskset) narrows the usable set, and marks the host restricted.
   if (opts.affinity.has_value()) {
     std::vector<int> usable;
     usable.reserve(ids.size());
@@ -176,39 +175,9 @@ Topology probe_topology(const ProbeOptions& opts) {
   return topo;
 }
 
-std::string_view to_string(PinMode mode) noexcept {
-  switch (mode) {
-    case PinMode::Off: return "off";
-    case PinMode::Core: return "core";
-    case PinMode::Node: return "node";
-  }
-  return "?";
-}
-
-std::optional<PinMode> parse_pin_mode(std::string_view token) noexcept {
-  if (token == "off") return PinMode::Off;
-  if (token == "core") return PinMode::Core;
-  if (token == "node") return PinMode::Node;
-  return std::nullopt;
-}
-
-PinMode env_pin_mode() noexcept {
-  static const PinMode mode = [] {
-    const char* value = std::getenv("KC_PIN");
-    if (value == nullptr) return PinMode::Off;
-    return parse_pin_mode(value).value_or(PinMode::Off);
-  }();
-  return mode;
-}
-
 const Topology& topology() noexcept {
   static const Topology topo = probe_topology(ProbeOptions{});
   return topo;
-}
-
-bool pin_hardware_available() noexcept {
-  const Topology& topo = topology();
-  return !topo.restricted && topo.nodes >= 2;
 }
 
 }  // namespace kc::exec

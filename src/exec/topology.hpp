@@ -1,48 +1,20 @@
-// Host CPU topology probe and worker-pinning policy.
+// Host CPU topology probe.
 //
-// The scheduler's workers are interchangeable by design — placement
-// decides only *where* a task runs, never what it computes — but on
-// multi-socket hosts where a task runs decides which memory controller
-// its point rows stream through. This header provides the two inputs
-// the scheduler needs to make locality-aware placement decisions:
-//
-//   Topology   a one-shot, hwloc-free probe of
-//              /sys/devices/system/{cpu,node}, intersected with the
-//              process affinity mask, degrading gracefully (one node,
-//              `restricted` set) in containers and on non-Linux hosts;
-//   PinMode    the worker-pinning policy, from the KC_PIN environment
-//              variable (off | core | node, read once) or an explicit
-//              ExecSpec knob.
-//
-// Pinning is strictly a placement hint: pinned and unpinned runs are
-// byte-identical, and on restricted or single-node hosts the scheduler
-// engages the placement logic without issuing any affinity syscalls.
+// A one-shot, hwloc-free read of /sys/devices/system/{cpu,node}:
+// online cpus, their NUMA nodes and physical cores, intersected with
+// the process affinity mask. It degrades gracefully (one node,
+// `restricted` set) in containers and on non-Linux hosts. Nothing in
+// the solve path reads it; it describes the host a measurement ran
+// on, so the bench JSON headers (BENCH_exec.json, BENCH_kernels.json)
+// record nodes, cores, hw_threads and `restricted`, and perfbench's
+// environment line records `restricted`.
 #pragma once
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace kc::exec {
-
-/// Worker-pinning policy for the thread-pool scheduler.
-enum class PinMode {
-  Off,   ///< no placement preferences (the default)
-  Core,  ///< pin each worker to one hardware thread
-  Node,  ///< pin each worker to one NUMA node's thread set
-};
-
-[[nodiscard]] std::string_view to_string(PinMode mode) noexcept;
-
-/// Parses "off", "core", "node" (the KC_PIN vocabulary). Returns
-/// nullopt on anything else.
-[[nodiscard]] std::optional<PinMode> parse_pin_mode(
-    std::string_view token) noexcept;
-
-/// The KC_PIN environment variable, read once per process; Off when
-/// unset or unparseable.
-[[nodiscard]] PinMode env_pin_mode() noexcept;
 
 /// What the host looks like to this process. Probed once (see
 /// topology()); every field falls back to a safe single-node shape
@@ -64,8 +36,7 @@ struct Topology {
 
   /// True when the probe could not see the full machine: the affinity
   /// mask excludes online cpus (container cpuset), or sysfs was
-  /// unreadable. A restricted host never gets affinity syscalls —
-  /// the kernel (or the container runtime) already placed us.
+  /// unreadable.
   bool restricted = false;
 };
 
@@ -89,12 +60,5 @@ struct ProbeOptions {
 
 /// The process-wide topology, probed on first use and cached.
 [[nodiscard]] const Topology& topology() noexcept;
-
-/// True when affinity syscalls are worth issuing: the probe saw the
-/// whole machine (not `restricted`) and it spans more than one NUMA
-/// node. This is the scheduler's pin_hardware() policy, exposed so
-/// bench reports can brand themselves untrusted when pinning was
-/// requested but can only engage the software placement half.
-[[nodiscard]] bool pin_hardware_available() noexcept;
 
 }  // namespace kc::exec

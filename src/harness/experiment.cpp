@@ -64,6 +64,7 @@ RunResult run_algorithm(const AlgoConfig& config, const PointSet& points,
     result.final_sample_size = report.final_sample_size;
   }
   result.dist_evals = report.dist_evals;
+  result.pairs_pruned = report.pairs_pruned;
   result.centers = std::move(report.centers);
   return result;
 }

@@ -87,6 +87,7 @@ struct RunResult {
   bool eim_sampled = false;
   std::size_t final_sample_size = 0;
   std::uint64_t dist_evals = 0;
+  std::uint64_t pairs_pruned = 0;  ///< skipped by pruning; see SolveReport
   std::vector<index_t> centers;
 };
 

@@ -79,7 +79,7 @@ RoundStats& SimCluster::run_round(std::string_view name, std::span<Task> tasks,
 
   const auto round_start = Clock::now();
   std::vector<double> task_seconds(tasks.size(), 0.0);
-  std::vector<std::uint64_t> task_evals(tasks.size(), 0);
+  std::vector<WorkCounters> task_work(tasks.size());
   // Failure model: decided per machine from a key that is fixed before
   // any task runs, so the loss set cannot depend on scheduling. A lost
   // machine's task body never runs — no partial output, zero work. The
@@ -103,7 +103,7 @@ RoundStats& SimCluster::run_round(std::string_view name, std::span<Task> tasks,
   const std::uint64_t scope = fault_scope_;
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     wrapped.emplace_back(
-        [&tasks, &task_seconds, &task_evals, &lost, scope, round_ordinal, t] {
+        [&tasks, &task_seconds, &task_work, &lost, scope, round_ordinal, t] {
           if (fault::armed() &&
               fault::fires("sim.machine",
                            machine_key(scope, round_ordinal, t))) {
@@ -114,7 +114,7 @@ RoundStats& SimCluster::run_round(std::string_view name, std::span<Task> tasks,
           const double cpu_start = exec::thread_cpu_seconds();
           tasks[t]();
           task_seconds[t] = exec::thread_cpu_seconds() - cpu_start;
-          task_evals[t] = work.elapsed().distance_evals;
+          task_work[t] = work.elapsed();
         });
   }
   backend_->run_tasks(wrapped);
@@ -123,12 +123,13 @@ RoundStats& SimCluster::run_round(std::string_view name, std::span<Task> tasks,
   for (std::size_t t = 0; t < tasks.size(); ++t) {
     stats.machines_lost += lost[t] != 0 ? 1 : 0;
     stats.total_machine_seconds += task_seconds[t];
-    stats.total_dist_evals += task_evals[t];
+    stats.total_dist_evals += task_work[t].distance_evals;
+    stats.total_pairs_pruned += task_work[t].pruned_pairs;
     if (task_seconds[t] > stats.max_machine_seconds) {
       stats.max_machine_seconds = task_seconds[t];
     }
-    if (task_evals[t] > stats.max_machine_dist_evals) {
-      stats.max_machine_dist_evals = task_evals[t];
+    if (task_work[t].distance_evals > stats.max_machine_dist_evals) {
+      stats.max_machine_dist_evals = task_work[t].distance_evals;
     }
   }
   RoundStats& recorded = trace.add_round(std::move(stats));

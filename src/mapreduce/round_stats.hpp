@@ -37,6 +37,9 @@ struct RoundStats {
 
   std::uint64_t max_machine_dist_evals = 0;
   std::uint64_t total_dist_evals = 0;
+  /// Pairs the machines' cell-pruned scans skipped; total_dist_evals +
+  /// total_pairs_pruned is what the unpruned round would have charged.
+  std::uint64_t total_pairs_pruned = 0;
 
   std::uint64_t items_in = 0;     ///< records entering the round (mapper side)
   std::uint64_t items_out = 0;    ///< records produced by the reducers

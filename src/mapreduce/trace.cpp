@@ -32,6 +32,12 @@ std::uint64_t JobTrace::total_dist_evals() const noexcept {
   return total;
 }
 
+std::uint64_t JobTrace::total_pairs_pruned() const noexcept {
+  std::uint64_t total = 0;
+  for (const auto& r : rounds_) total += r.total_pairs_pruned;
+  return total;
+}
+
 std::uint64_t JobTrace::total_shuffle_items() const noexcept {
   std::uint64_t total = 0;
   for (const auto& r : rounds_) total += r.shuffle_items;

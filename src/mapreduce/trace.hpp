@@ -35,6 +35,7 @@ class JobTrace {
   [[nodiscard]] double wall_seconds() const noexcept;
 
   [[nodiscard]] std::uint64_t total_dist_evals() const noexcept;
+  [[nodiscard]] std::uint64_t total_pairs_pruned() const noexcept;
   [[nodiscard]] std::uint64_t total_shuffle_items() const noexcept;
 
   /// Largest number of machines used by any round.

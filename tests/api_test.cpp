@@ -23,6 +23,7 @@
 
 #include "cli/algos.hpp"
 #include "cli/args.hpp"
+#include "geom/spatial_index.hpp"
 #include "harness/experiment.hpp"
 #include "test_util.hpp"
 
@@ -373,6 +374,23 @@ TEST(ApiSolver, BackendAccessorTracksRequestSuppliedBackend) {
   (void)solver.solve(request);
   ASSERT_NE(solver.backend(), nullptr);
   EXPECT_EQ(solver.backend()->kind(), exec::BackendKind::Sequential);
+
+  // The lazily built backend is keyed on (kind, threads): a repeat of
+  // the same pair reuses it, a new thread count builds a fresh one.
+  request.exec.kind = exec::BackendKind::ThreadPool;
+  request.exec.threads = 2;
+  (void)solver.solve(request);
+  const auto pool = solver.backend();
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->kind(), exec::BackendKind::ThreadPool);
+  EXPECT_EQ(pool->concurrency(), 2);
+  (void)solver.solve(request);
+  EXPECT_EQ(solver.backend(), pool);
+  request.exec.threads = 3;
+  (void)solver.solve(request);
+  ASSERT_NE(solver.backend(), nullptr);
+  EXPECT_NE(solver.backend(), pool);
+  EXPECT_EQ(solver.backend()->concurrency(), 3);
 }
 
 TEST(ApiSolver, PreCancelledTokenStopsBeforeDispatch) {
@@ -508,6 +526,23 @@ TEST(ApiDeterminism, HarnessAdapterMatchesSolver) {
   EXPECT_EQ(run.value, report.value);
   EXPECT_EQ(run.dist_evals, report.dist_evals);
   EXPECT_EQ(run.map_reduce_rounds, report.rounds);
+
+  // GON under the default prune=Auto: the adapter must carry the pruned
+  // pairs too, or the paper benches under-count the work they check.
+  Rng rng(2025);
+  const PointSet gau = data::generate_gau(8000, 16, 2, 100.0, 0.1, rng);
+  config.kind = harness::AlgoKind::GON;
+  const harness::RunResult gon_run = harness::run_algorithm(config, gau, 8, 99);
+  request.points = &gau;
+  request.k = 8;
+  request.algorithm = "gon";
+  const api::SolveReport gon_report = solver.solve(request);
+  EXPECT_EQ(gon_run.centers, gon_report.centers);
+  EXPECT_EQ(gon_run.dist_evals, gon_report.dist_evals);
+  EXPECT_EQ(gon_run.pairs_pruned, gon_report.pairs_pruned);
+  if (!force_no_prune_requested()) {
+    EXPECT_GT(gon_run.pairs_pruned, 0u);
+  }
 }
 
 TEST(CliAlgoKind, ResolvesRegistryNamesAndAliases) {

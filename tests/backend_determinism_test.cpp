@@ -6,11 +6,9 @@
 // are forced on with a tiny shard threshold.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <memory>
 #include <vector>
 
-#include "api/solver.hpp"
 #include "harness/experiment.hpp"
 #include "test_util.hpp"
 
@@ -210,72 +208,6 @@ TEST(BackendDeterminism, SimdKernelsMatchForcedScalarEndToEnd) {
   EXPECT_EQ(mrg_a.centers, mrg_b.centers);
   EXPECT_EQ(mrg_a.radius_comparable, mrg_b.radius_comparable);
   EXPECT_EQ(TraceCounts(mrg_a.trace), TraceCounts(mrg_b.trace));
-}
-
-TEST(BackendDeterminism, PinnedRunsByteIdenticalToUnpinned) {
-  // Worker pinning (the in-process equivalent of KC_PIN=off|core|node)
-  // is pure placement: inbox distribution, near-first stealing and
-  // affinity syscalls may move tasks between threads, but every field
-  // of the report except the timings must stay byte-identical. Driven
-  // through ExecSpec::pin rather than the environment so the three
-  // modes run in one process.
-  const PointSet ps = test::small_gaussian_instance(5, 2000, 33);
-
-  std::vector<api::SolveReport> reports;
-  for (const exec::PinMode pin :
-       {exec::PinMode::Off, exec::PinMode::Core, exec::PinMode::Node}) {
-    api::SolveRequest request;
-    request.points = &ps;
-    request.k = 5;
-    request.algorithm = "mrg";
-    request.seed = 99;
-    request.exec.kind = exec::BackendKind::ThreadPool;
-    request.exec.threads = 4;
-    request.exec.machines = 10;
-    request.exec.pin = pin;
-    api::Solver solver;
-    reports.push_back(solver.solve(request));
-  }
-
-  const auto& reference = reports.front();
-  EXPECT_FALSE(reference.centers.empty());
-  for (std::size_t r = 1; r < reports.size(); ++r) {
-    SCOPED_TRACE("pin mode index " + std::to_string(r));
-    EXPECT_EQ(reports[r].centers, reference.centers);
-    EXPECT_EQ(reports[r].radius_comparable, reference.radius_comparable);
-    EXPECT_EQ(reports[r].value, reference.value);
-    EXPECT_EQ(reports[r].guarantee, reference.guarantee);
-    EXPECT_EQ(reports[r].rounds, reference.rounds);
-    EXPECT_EQ(reports[r].iterations, reference.iterations);
-    EXPECT_EQ(reports[r].dist_evals, reference.dist_evals);
-    EXPECT_EQ(reports[r].pairs_pruned, reference.pairs_pruned);
-    EXPECT_EQ(reports[r].backend, reference.backend);
-    EXPECT_EQ(reports[r].kernel_isa, reference.kernel_isa);
-    EXPECT_EQ(TraceCounts(reports[r].trace), TraceCounts(reference.trace));
-  }
-}
-
-TEST(BackendDeterminism, PinnedSchedulerRunsChunksAndTasksCorrectly) {
-  // Functional smoke of the placement machinery itself (inboxes,
-  // drain, near-first steal): a pinned scheduler must execute every
-  // chunk exactly once, whichever path delivered it.
-  for (const exec::PinMode pin : {exec::PinMode::Core, exec::PinMode::Node}) {
-    exec::Scheduler scheduler(4, pin);
-    EXPECT_EQ(scheduler.pin_mode(), pin);
-    EXPECT_TRUE(scheduler.pin_engaged());
-    constexpr std::size_t kItems = 10'000;
-    std::vector<std::atomic<int>> hits(kItems);
-    scheduler.run_chunks(kItems, 64, [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        // Relaxed: independent per-item tallies, checked after the
-        // barrier run_chunks provides.
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (std::size_t i = 0; i < kItems; ++i) {
-      ASSERT_EQ(hits[i].load(std::memory_order_relaxed), 1) << "item " << i;
-    }
-  }
 }
 
 TEST(BackendDeterminism, HarnessRunsIdenticalValueAcrossBackends) {

@@ -27,12 +27,12 @@ inline int load_counter(const std::atomic<int>& counter) {
   return counter.load(std::memory_order_relaxed);
 }
 
-// The scheduler's placement-hint pair in its sanctioned form: the
-// relaxed flag is an optimization hint whose ground truth lives under
-// a mutex, and both sides say so in range.
-inline void post_inbox_hint(std::atomic<bool>& hint) {
-  // Relaxed: advisory fast-path flag; the inbox mutex publishes the
-  // actual task pointers, a stale read only delays one drain pass.
+// A maybe-nonempty hint in its sanctioned form: the relaxed flag is an
+// optimization hint whose ground truth lives under a mutex, and the
+// rationale says so in range.
+inline void post_nonempty_hint(std::atomic<bool>& hint) {
+  // Relaxed: advisory fast-path flag; the queue mutex publishes the
+  // actual items, a stale read only delays one poll.
   hint.store(true, std::memory_order_relaxed);
 }
 
