@@ -86,10 +86,11 @@ struct SolveRequest {
   /// Spatial pruning of the bulk distance scans (geom/spatial_index.hpp).
   /// Auto builds a grid index and routes full scans through cell-pruned
   /// paths when the instance is likely to profit (low dimension, enough
-  /// points — see Solver); On forces the index regardless; Off keeps the
-  /// exact pre-index code path, as does the KC_FORCE_NO_PRUNE
-  /// environment variable. Results are bit-identical either way; only
-  /// dist_evals vs pairs_pruned shift.
+  /// points — see Solver), and also turns on EIM's sample boxes, at any
+  /// dim; On forces the index regardless; Off keeps the exact pre-index
+  /// code path, as does the KC_FORCE_NO_PRUNE environment variable.
+  /// Results are bit-identical either way; only dist_evals vs
+  /// pairs_pruned shift.
   PruneMode prune = PruneMode::Auto;
 
   /// Optional distance-evaluation budget; 0 = unlimited. Enforced at

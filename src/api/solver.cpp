@@ -139,18 +139,17 @@ SolveReport Solver::solve(const SolveRequest& request) {
   // Spatial pruning: build the grid index when the request wants it.
   // Auto only pays the index build where the grid can win (low
   // dimension, enough points that full scans dominate); On trusts the
-  // caller. Either way the scans stay bit-identical — Off and
-  // KC_FORCE_NO_PRUNE keep the exact pre-index path.
+  // caller. The mode is bound either way, since it also switches EIM's
+  // sample boxes, which need no index. The scans stay bit-identical —
+  // Off and KC_FORCE_NO_PRUNE keep the exact pre-index path.
   std::optional<SpatialIndex> index;
   const bool build_index =
       request.prune != PruneMode::Off && !force_no_prune_requested() &&
       (request.prune == PruneMode::On ||
        (request.points->dim() <= kAutoPruneMaxDim &&
         request.points->size() >= kAutoPruneMinPoints));
-  if (build_index) {
-    index.emplace(*request.points);
-    oracle.bind_index(&*index, request.prune);
-  }
+  if (build_index) index.emplace(*request.points);
+  oracle.bind_index(index ? &*index : nullptr, request.prune);
   context.oracle = &oracle;
   const std::vector<index_t> all = request.points->all_indices();
   context.points = all;

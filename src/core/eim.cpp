@@ -4,10 +4,12 @@
 #include <cmath>
 #include <functional>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <vector>
 
+#include "geom/spatial_index.hpp"
 #include "rng/rng.hpp"
 
 namespace kc {
@@ -151,6 +153,7 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
   std::vector<std::uint8_t> in_sample(n, 0);
 
   std::vector<index_t> sample_global;  // S, as global point ids
+  const bool boxes_enabled = oracle.sample_boxes_enabled();
 
   while (static_cast<double>(r_set.size()) > loop_threshold) {
     check_cancelled(options, result.iterations);
@@ -219,15 +222,18 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
     // ---- Round 2 (lines 5-6): one machine receives H and S and picks
     // the pivot v = the phi*log(n)-th farthest point of H from S.
     // d(x, S) is maintained incrementally: only the distances to the
-    // *new* sample members are computed, and update_nearest_multi
-    // folds them in center-blocked groups of simd::kCenterBlock per
-    // streaming pass over H.
+    // *new* sample members are computed. Unless the oracle's prune
+    // mode is Off, this machine splits them into sample boxes
+    // (geom/spatial_index.hpp), and H here and R in round 3 fold
+    // through them.
     double removal_threshold = -kInfDist;
+    std::optional<SampleBoxes> boxes;
     auto& select_round = run_round_with_retry(
         "eim-select", 1, [&](std::size_t) -> mr::RoundStats& {
           return cluster.run_indexed_round(
               "eim-select", 1,
               [&](int) {
+                if (boxes_enabled) boxes.emplace(oracle.points(), delta_global);
                 if (pivot_positions.empty()) return;
                 std::vector<index_t> h_global(pivot_positions.size());
                 std::vector<double> h_best(pivot_positions.size());
@@ -235,7 +241,11 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
                   h_global[i] = pts[pivot_positions[i]];
                   h_best[i] = dist_to_sample[pivot_positions[i]];
                 }
-                oracle.update_nearest_multi(h_global, delta_global, h_best);
+                if (boxes) {
+                  oracle.update_nearest_grouped(h_global, *boxes, h_best);
+                } else {
+                  oracle.update_nearest_multi(h_global, delta_global, h_best);
+                }
                 for (std::size_t i = 0; i < pivot_positions.size(); ++i) {
                   dist_to_sample[pivot_positions[i]] = h_best[i];
                 }
@@ -278,8 +288,13 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
                   chunk_global[i] = pts[r_set[lo + i]];
                   chunk_best[i] = dist_to_sample[r_set[lo + i]];
                 }
-                oracle.update_nearest_multi(chunk_global, delta_global,
-                                            chunk_best);
+                if (boxes) {
+                  oracle.update_nearest_grouped(chunk_global, *boxes,
+                                                chunk_best);
+                } else {
+                  oracle.update_nearest_multi(chunk_global, delta_global,
+                                              chunk_best);
+                }
                 auto& survivors =
                     survivor_parts[static_cast<std::size_t>(machine)];
                 for (std::size_t i = 0; i < len; ++i) {
@@ -303,8 +318,12 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
     }
     prune_round.items_in = r_set.size();
     prune_round.items_out = next_r.size();
+    // Each machine receives the new sample, plus its boxes (two rows
+    // per group) when there are boxes.
     prune_round.shuffle_items =
-        r_set.size() + chunks.size() * delta_global.size();
+        r_set.size() +
+        chunks.size() *
+            (delta_global.size() + (boxes ? 2 * boxes->group_count() : 0));
 
     // With |R| above the loop threshold the no-progress probability is
     // astronomically small (it requires an empty S *and* H draw); the

@@ -9,6 +9,15 @@
 //      distance (farthest first) and takes the pivot v at position
 //      phi*log(n) (the paper's new knob; Ene et al. fix phi = 8);
 //   3. prune: every x in R with d(x, S) <= d(v, S) leaves R.
+// d(x, S) is kept per point and folded with each iteration's new
+// sample members only. Unless the oracle's prune mode is Off (or
+// KC_FORCE_NO_PRUNE is set), the select machine also splits each new
+// sample into axis-aligned boxes (geom/spatial_index.hpp); H in round 2
+// and R in round 3 fold through them, skipping groups whose box is no
+// nearer than a point's best, and each prune machine's shuffle counts
+// the boxes (two rows per group). The skips are provably no-ops:
+// centers, value, rounds, sample sizes and every RNG draw are the same
+// bit for bit, and the skipped pairs are reported as pruned pairs.
 // The loop runs while |R| > (4/eps) k n^eps log n, after which one final
 // round runs a sequential algorithm on C = S [union] R.
 //

@@ -1,6 +1,7 @@
 #include "geom/distance.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
@@ -64,6 +65,134 @@ namespace {
   return ctx != nullptr && ctx->armed();
 }
 
+/// What the chunks of one pruning scan (the cell-pruned scans and the
+/// sample-box scans) share: the stop flag their gates publish on, and
+/// the evaluated and skipped pair totals.
+struct ScanTally {
+  std::atomic<int> stop{0};
+  std::atomic<std::uint64_t> evals{0};
+  std::atomic<std::uint64_t> pruned{0};
+
+  /// After the fan-out joined: charges the pairs that actually ran to
+  /// the calling thread's counters (evaluated plus skipped sum to the
+  /// unpruned scan's count when the scan completes), then raises a
+  /// published stop, labelled `where`.
+  void finish(std::size_t dim, std::string_view where) const {
+    // Relaxed loads: the fan-out joined, so every chunk's stores
+    // happened-before these reads.
+    counters::add_distance_evals(evals.load(std::memory_order_relaxed), dim);
+    counters::add_pruned_pairs(pruned.load(std::memory_order_relaxed));
+    const auto reason =
+        static_cast<exec::StopReason>(stop.load(std::memory_order_relaxed));
+    if (reason != exec::StopReason::None) {
+      exec::ChunkContext::raise(reason, where);
+    }
+  }
+};
+
+/// The budget/cancel gate and pair tally of one chunk of a pruning
+/// scan. Budget credit is pre-bought in ~kGateEvals batches (one atomic
+/// per gate, like pairwise_comparable) and the unused tail refunded by
+/// settle(), so a completed scan charges exactly what it evaluated. The
+/// token poll counts skipped pairs too: a scan that prunes nearly
+/// everything does little kernel work but must still notice a cancel
+/// within ~one gate of bound tests. A stop is published on the scan's
+/// shared flag, which every chunk reads between units of work.
+class ScanGate {
+ public:
+  /// `ctx` null = ungated: pay() and poll() always pass.
+  ScanGate(const exec::ChunkContext* ctx, ScanTally& tally) noexcept
+      : ctx_(ctx), tally_(tally) {}
+
+  /// Pays for `evals` pairs about to be evaluated; false when the
+  /// budget or the token stops the scan.
+  [[nodiscard]] bool pay(std::uint64_t evals) {
+    if (!charge(evals)) return false;
+    evals_ += evals;
+    return true;
+  }
+
+  /// Records `pairs` skipped without evaluation.
+  void skip(std::uint64_t pairs) noexcept {
+    pruned_ += pairs;
+    since_poll_ += pairs;
+  }
+
+  /// Polls the token once ~kGateEvals pairs, evaluated or skipped, went
+  /// by since the last poll; false on a stop.
+  [[nodiscard]] bool poll() {
+    if (ctx_ == nullptr || since_poll_ < exec::kGateEvals) return true;
+    since_poll_ = 0;
+    const exec::StopReason reason = ctx_->check();
+    if (reason == exec::StopReason::None) return true;
+    publish(reason);
+    return false;
+  }
+
+  /// True once any chunk of the scan has published a stop.
+  [[nodiscard]] bool stopped() const noexcept {
+    // Relaxed: same stop protocol as gated_scan — staleness costs at
+    // most one unit of work, and the fan-out join orders the flag
+    // before the final read.
+    return ctx_ != nullptr &&
+           tally_.stop.load(std::memory_order_relaxed) != 0;
+  }
+
+  /// Refunds the unused pre-bought credit and adds this chunk's pairs
+  /// to the scan's tally; call once, at chunk end.
+  void settle() {
+    if (ctx_ != nullptr && credit_ > 0 && ctx_->budget != nullptr) {
+      ctx_->budget->credit(credit_);
+    }
+    credit_ = 0;
+    // Relaxed: the tallies are read after the join; only the sum
+    // matters, not the order of the additions.
+    tally_.evals.fetch_add(evals_, std::memory_order_relaxed);
+    tally_.pruned.fetch_add(pruned_, std::memory_order_relaxed);
+  }
+
+ private:
+  [[nodiscard]] bool charge(std::uint64_t evals) {
+    if (ctx_ == nullptr) return true;
+    since_poll_ += evals;
+    if (credit_ >= evals) {
+      credit_ -= evals;
+      return true;
+    }
+    const std::uint64_t need = evals - credit_;
+    const std::uint64_t batch = std::max(need, exec::kGateEvals);
+    exec::StopReason reason = ctx_->charge(batch);
+    if (reason == exec::StopReason::None) {
+      credit_ += batch - evals;
+      return true;
+    }
+    if (reason == exec::StopReason::BudgetExhausted && batch != need) {
+      // The gate-sized pre-buy overshot the budget's remainder; the
+      // exact need may still fit — only an actual shortfall stops the
+      // scan, so the budget drains to within one sub-call of empty.
+      reason = ctx_->charge(need);
+      if (reason == exec::StopReason::None) {
+        credit_ = 0;
+        return true;
+      }
+    }
+    publish(reason);
+    return false;
+  }
+
+  void publish(exec::StopReason reason) noexcept {
+    // Relaxed: see stopped().
+    tally_.stop.store(static_cast<int>(reason), std::memory_order_relaxed);
+  }
+
+  const exec::ChunkContext* ctx_;
+  ScanTally& tally_;
+  std::uint64_t credit_ = 0;
+  std::uint64_t since_poll_ = 0;
+  std::uint64_t evals_ = 0;
+  std::uint64_t pruned_ = 0;
+};
+
 /// Max over a non-empty range. Four independent accumulator chains keep
 /// the loop ILP-bound (one maxsd per chain per cycle) instead of
 /// serialized on a single compare — this runs after every surviving
@@ -112,6 +241,10 @@ std::string_view to_string(PruneMode mode) noexcept {
 bool DistanceOracle::pruning_enabled() const noexcept {
   return index_ != nullptr && prune_mode_ != PruneMode::Off &&
          !force_no_prune_requested();
+}
+
+bool DistanceOracle::sample_boxes_enabled() const noexcept {
+  return prune_mode_ != PruneMode::Off && !force_no_prune_requested();
 }
 
 bool DistanceOracle::ordered_scans_available() const noexcept {
@@ -234,54 +367,14 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
   const std::size_t nb0 =
       ordered && all_inf ? std::min(k, simd::kCenterBlock) : 0;
 
-  const bool gate = gating(ctx_);
-  std::atomic<int> stop{0};
-  std::atomic<std::uint64_t> evals_total{0};
-  std::atomic<std::uint64_t> pruned_total{0};
+  const exec::ChunkContext* gate_ctx = gating(ctx_) ? ctx_ : nullptr;
+  ScanTally tally;
 
   const exec::ExecutionBackend::RangeBody body = [&](std::size_t clo,
                                                      std::size_t chi) {
     std::vector<double> tmp;
     const double* cptr[simd::kCenterBlock];
-    std::uint64_t chunk_evals = 0;
-    std::uint64_t chunk_pruned = 0;
-    // Budget credit is pre-bought in ~kGateEvals batches (one atomic per
-    // gate, like pairwise_comparable) and the unused tail refunded at
-    // chunk end, so a completed scan charges exactly what it evaluated.
-    std::uint64_t credit = 0;
-    // Pairs dispatched since the last token poll, counting pruned pairs
-    // too: a scan that prunes nearly everything does little kernel work
-    // but must still notice a cancel within ~one gate of bound tests.
-    std::uint64_t since_poll = 0;
-    const auto pay = [&](std::uint64_t evals) {
-      if (!gate) return true;
-      since_poll += evals;
-      if (credit >= evals) {
-        credit -= evals;
-        return true;
-      }
-      const std::uint64_t need = evals - credit;
-      const std::uint64_t batch = std::max(need, exec::kGateEvals);
-      exec::StopReason reason = ctx_->charge(batch);
-      if (reason == exec::StopReason::None) {
-        credit += batch - evals;
-        return true;
-      }
-      if (reason == exec::StopReason::BudgetExhausted && batch != need) {
-        // The gate-sized pre-buy overshot the budget's remainder; the
-        // exact need may still fit — only an actual shortfall stops the
-        // scan, so the budget drains to within one sub-call of empty.
-        reason = ctx_->charge(need);
-        if (reason == exec::StopReason::None) {
-          credit = 0;
-          return true;
-        }
-      }
-      // Relaxed: same stop protocol as gated_scan — the fan-out join
-      // orders the flag before the final read.
-      stop.store(static_cast<int>(reason), std::memory_order_relaxed);
-      return false;
-    };
+    ScanGate gate(gate_ctx, tally);
     bool stopped = false;
 
     // Global pass for cold ordered scans: the chunk's cells occupy one
@@ -297,13 +390,12 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
           1, static_cast<std::size_t>(exec::kGateEvals) / nb0);
       for (std::size_t r = row_lo; r < row_hi && !stopped; r += rgate) {
         const std::size_t re = std::min(row_hi, r + rgate);
-        if (!pay(static_cast<std::uint64_t>(re - r) * nb0)) {
+        if (!gate.pay(static_cast<std::uint64_t>(re - r) * nb0)) {
           stopped = true;
           break;
         }
         kernels_->nearest_multi_contig[m](idx.rows() + r * d, d, re - r, cptr,
                                           nb0, best.data() + r);
-        chunk_evals += static_cast<std::uint64_t>(re - r) * nb0;
       }
     }
 
@@ -311,7 +403,7 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
     // only has bounds to refresh — and only a cache outlives the scan.
     const bool cell_walk = !(nb0 >= k && !cached);
     for (std::size_t c = clo; c < chi && !stopped && cell_walk; ++c) {
-      if (gate && stop.load(std::memory_order_relaxed) != 0) break;
+      if (gate.stopped()) break;
       const std::size_t base = idx.cell_begin(c);
       const std::size_t sz = idx.cell_size(c);
       // Ordered scans fold straight into the caller's slice; id-domain
@@ -334,8 +426,7 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
         while (pos < k && nb < simd::kCenterBlock) {
           const double* cen = points_->data(centers[pos]);
           if (idx.cell_mindist_comparable(kind_, cen, c) >= ubc) {
-            chunk_pruned += sz;
-            since_poll += sz;
+            gate.skip(sz);
           } else {
             cptr[nb++] = cen;
           }
@@ -356,13 +447,12 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
             1, static_cast<std::size_t>(exec::kGateEvals) / nb);
         for (std::size_t r = 0; r < sz; r += rgate) {
           const std::size_t re = std::min(sz, r + rgate);
-          if (!pay(static_cast<std::uint64_t>(re - r) * nb)) {
+          if (!gate.pay(static_cast<std::uint64_t>(re - r) * nb)) {
             stopped = true;
             break;
           }
           kernels_->nearest_multi_contig[m](idx.rows() + (base + r) * d, d,
                                             re - r, cptr, nb, tmpp + r);
-          chunk_evals += static_cast<std::uint64_t>(re - r) * nb;
         }
         if (stopped) break;
         // Refresh the bound from the just-tightened values so the
@@ -379,23 +469,9 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
         }
         ub[c] = ubc;
       }
-      if (gate && since_poll >= exec::kGateEvals) {
-        since_poll = 0;
-        const exec::StopReason reason = ctx_->check();
-        if (reason != exec::StopReason::None) {
-          stop.store(static_cast<int>(reason),
-                     std::memory_order_relaxed);  // see stop note above
-          stopped = true;
-        }
-      }
+      if (!gate.poll()) stopped = true;
     }
-    if (gate && credit > 0 && ctx_->budget != nullptr) {
-      ctx_->budget->credit(credit);
-    }
-    // Relaxed: per-chunk tallies merged after the join below; only the
-    // sum matters, not the order of the additions.
-    evals_total.fetch_add(chunk_evals, std::memory_order_relaxed);
-    pruned_total.fetch_add(chunk_pruned, std::memory_order_relaxed);
+    gate.settle();
   };
 
   // Fan out over *cell* ranges (cells own disjoint slices of best and
@@ -410,21 +486,7 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
   } else {
     body(0, ncells);
   }
-
-  // Counters reflect the split that actually happened: evaluated pairs
-  // plus pruned pairs sum to the n*k an unpruned scan would charge
-  // (when the scan runs to completion).
-  // Relaxed loads: the fan-out joined above, so all chunk stores
-  // happened-before these reads.
-  counters::add_distance_evals(evals_total.load(std::memory_order_relaxed),
-                               d);
-  counters::add_pruned_pairs(pruned_total.load(std::memory_order_relaxed));
-
-  const auto reason = static_cast<exec::StopReason>(
-      stop.load(std::memory_order_relaxed));  // joined above
-  if (reason != exec::StopReason::None) {
-    exec::ChunkContext::raise(reason, where);
-  }
+  tally.finish(d, where);
 }
 
 void DistanceOracle::update_nearest(std::span<const index_t> ids,
@@ -537,6 +599,82 @@ void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
     return;
   }
   run(0, ids.size());
+}
+
+void DistanceOracle::update_nearest_grouped(std::span<const index_t> ids,
+                                            const SampleBoxes& boxes,
+                                            std::span<double> best) const {
+  if (ids.empty() || boxes.size() == 0) return;
+  const std::size_t d = dim();
+  const std::size_t groups = boxes.group_count();
+  const auto fold = kernels_->nearest_soa[metric_index()];
+  const exec::ChunkContext* gate_ctx = gating(ctx_) ? ctx_ : nullptr;
+  ScanTally tally;
+
+  const exec::ExecutionBackend::RangeBody body = [&](std::size_t lo,
+                                                     std::size_t hi) {
+    // Points go in blocks, and a block walks the groups once, so each
+    // group's rows are read once per block, not once per point (at 64-D
+    // a sample of 4,000 centers is 2 MB of rows, more than a core's L2).
+    // Each point still folds its nearest group first, then the others in
+    // group order, as it would alone.
+    constexpr std::size_t kBlock = 8;
+    std::array<double, kBlock * kSampleBoxGroups> gap{};
+    std::array<std::size_t, kBlock> nearest{};
+    std::array<double, kBlock> b{};
+    ScanGate gate(gate_ctx, tally);
+    bool stop = false;
+    for (std::size_t i0 = lo; i0 < hi && !stop && !gate.stopped();
+         i0 += kBlock) {
+      const std::size_t nb = std::min(kBlock, hi - i0);
+      for (std::size_t p = 0; p < nb; ++p) {
+        const double* x = points_->data(ids[i0 + p]);
+        double* row = gap.data() + p * kSampleBoxGroups;
+        nearest[p] = 0;
+        for (std::size_t g = 0; g < groups; ++g) {
+          row[g] =
+              box_mindist_comparable(kind_, x, boxes.lo(g), boxes.hi(g), d);
+          if (row[g] < row[nearest[p]]) nearest[p] = g;
+        }
+        b[p] = best[i0 + p];
+      }
+      // A group whose box is no nearer than the point's best cannot
+      // lower it: every member's kernel distance is >= the box's.
+      const auto visit = [&](std::size_t p, std::size_t g) {
+        const std::size_t size = boxes.group_size(g);
+        if (!(gap[p * kSampleBoxGroups + g] < b[p])) {
+          gate.skip(size);
+          return true;
+        }
+        if (!gate.pay(size)) return false;
+        b[p] = fold(points_->data(ids[i0 + p]), boxes.soa(g), d,
+                    boxes.lanes(g), boxes.lanes(g), b[p]);
+        return true;
+      };
+      for (std::size_t p = 0; p < nb && !stop; ++p) {
+        stop = !visit(p, nearest[p]);
+      }
+      for (std::size_t g = 0; g < groups && !stop; ++g) {
+        for (std::size_t p = 0; p < nb && !stop; ++p) {
+          if (g != nearest[p]) stop = !visit(p, g);
+        }
+      }
+      for (std::size_t p = 0; p < nb; ++p) best[i0 + p] = b[p];
+      if (!stop && !gate.poll()) stop = true;
+    }
+    gate.settle();
+  };
+
+  // The same fan-out rule as update_nearest_multi, on the unpruned pair
+  // count: a point that prunes everything still tests every box.
+  const std::size_t k = boxes.size();
+  if (exec_ != nullptr && ids.size() > 1 && ids.size() > shard_min_ / k) {
+    exec_->parallel_for(ids.size(),
+                        std::max<std::size_t>(1, shard_min_ / 2 / k), body);
+  } else {
+    body(0, ids.size());
+  }
+  tally.finish(d, "update_nearest_grouped");
 }
 
 double DistanceOracle::nearest_comparable(

@@ -34,19 +34,22 @@ namespace kc {
 
 class SpatialIndex;
 class PruneCache;
+class SampleBoxes;
 
 /// Default minimum scan length before a bulk kernel shards across an
 /// execution backend; below this the fan-out overhead dominates the
 /// O(n * dim) work of the scan itself.
 inline constexpr std::size_t kShardMinItems = std::size_t{1} << 14;
 
-/// Whether the oracle may route full scans through a bound spatial
-/// index's cell-pruned path (geom/spatial_index.hpp).
+/// Whether the oracle may skip provably irrelevant pairs: full scans
+/// through a bound spatial index's cell-pruned path, and EIM's
+/// nearest-sample scans through sample boxes (geom/spatial_index.hpp).
 enum class PruneMode {
   Off,   ///< never prune; the exact pre-index code path
   Auto,  ///< prune when an index is bound (the facade only builds one
-         ///< when its auto heuristic holds, so Auto defers to that)
-  On,    ///< prune whenever an index is bound
+         ///< when its auto heuristic holds, so Auto defers to that);
+         ///< also turns on EIM's sample boxes, at any dim
+  On,    ///< prune whenever an index is bound; sample boxes as Auto
 };
 
 [[nodiscard]] std::string_view to_string(PruneMode mode) noexcept;
@@ -127,7 +130,8 @@ class DistanceOracle {
   /// skipped pairs charged to counters as pruned_pairs instead of
   /// distance_evals. Partial-range scans, a mismatched index, or the
   /// KC_FORCE_NO_PRUNE environment variable fall back to the exact
-  /// unpruned path. The oracle does not own the index.
+  /// unpruned path. The oracle does not own the index. The mode also
+  /// governs sample_boxes_enabled(), with or without an index.
   void bind_index(const SpatialIndex* index,
                   PruneMode mode = PruneMode::Auto) noexcept {
     index_ = index;
@@ -141,6 +145,11 @@ class DistanceOracle {
   /// True when the next full-range scan would take the pruned path
   /// (index bound, mode permits, env does not veto).
   [[nodiscard]] bool pruning_enabled() const noexcept;
+
+  /// True when callers may route nearest-sample scans through sample
+  /// boxes (update_nearest_grouped): the mode is not Off and
+  /// KC_FORCE_NO_PRUNE does not veto. Needs no index.
+  [[nodiscard]] bool sample_boxes_enabled() const noexcept;
 
   /// Overrides the kernel table used by this oracle (nullptr restores
   /// the process-wide selection). Test/bench seam for A/B-ing SIMD
@@ -195,6 +204,27 @@ class DistanceOracle {
                             std::span<const index_t> centers,
                             std::span<double> best,
                             PruneCache* cache = nullptr) const;
+
+  /// update_nearest_multi against the centers of `boxes`, skipping the
+  /// groups that provably cannot win: per point, the box distances
+  /// (box_mindist_comparable) are computed, the group with the nearest
+  /// box is folded first, then every other group, in group order, whose
+  /// box distance is below the point's tightening best. Points run in
+  /// blocks of 8 that walk the groups together, so a group's rows are
+  /// read once per block; each point keeps the visit order above. A
+  /// skipped group could not have lowered best[i] even in rounded
+  /// arithmetic, so the result is bit-identical to
+  /// update_nearest_multi(ids, all centers, best). Evaluated pairs go to
+  /// distance_evals and
+  /// skipped pairs to pruned_pairs, together ids.size() * boxes.size();
+  /// each point's split depends only on that point, never on how a
+  /// backend shards the ids. Context-gated like the cell-pruned scans:
+  /// budget credit is bought in ~kGateEvals batches and refunded when
+  /// unused, skipped pairs count toward the token poll, and a stop
+  /// raises within about one gate.
+  void update_nearest_grouped(std::span<const index_t> ids,
+                              const SampleBoxes& boxes,
+                              std::span<double> best) const;
 
   /// True when the cell-order scans below may be called: pruning is
   /// enabled and the bound index covers this oracle's point set.

@@ -98,6 +98,20 @@ struct KernelTable {
                                       std::size_t dim, std::size_t m,
                                       std::size_t n, double* out,
                                       std::size_t ldo);
+
+  /// One point against a run of centers stored coordinate-major:
+  /// coordinate d of center j is soa[d * ld + j], for j < n (ld >= n).
+  /// Returns the minimum of `best` and the n comparable distances. The
+  /// sample-box scans keep each group of centers in this layout, padded
+  /// with +inf coordinates (distance +inf, so a padding lane never wins
+  /// the min). SIMD variants vectorize across the centers (one center
+  /// per lane) with the scalar coordinate fold per lane; the min over
+  /// non-negative, NaN-free distances does not depend on the order the
+  /// lanes are reduced in, so the result is bit-identical to the scalar
+  /// loop.
+  double (*nearest_soa[kMetricCount])(const double* point, const double* soa,
+                                      std::size_t dim, std::size_t n,
+                                      std::size_t ld, double best);
 };
 
 enum class IsaLevel {

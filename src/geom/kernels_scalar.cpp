@@ -44,6 +44,12 @@ void pairwise_tile_fn(const double* arows, const double* brows,
   scalar::pairwise_tile(arows, brows, dim, m, n, out, ldo, Pair);
 }
 
+template <double (*Step)(double, double)>
+double nearest_soa_fn(const double* point, const double* soa, std::size_t dim,
+                      std::size_t n, std::size_t ld, double best) {
+  return scalar::nearest_soa(point, soa, dim, n, ld, best, Step);
+}
+
 constexpr KernelTable kScalarTable = {
     "scalar",
     {scalar::l2sq, scalar::l1, scalar::linf},
@@ -58,6 +64,8 @@ constexpr KernelTable kScalarTable = {
     scalar::argmax,
     {pairwise_tile_fn<scalar::l2sq>, pairwise_tile_fn<scalar::l1>,
      pairwise_tile_fn<scalar::linf>},
+    {nearest_soa_fn<scalar::l2sq_step>, nearest_soa_fn<scalar::l1_step>,
+     nearest_soa_fn<scalar::linf_step>},
 };
 
 }  // namespace

@@ -149,6 +149,41 @@ inline void pairwise_tile(const double* arows, const double* brows,
   }
 }
 
+// Per-coordinate steps of the three pair kernels: from acc = 0, l2sq,
+// l1 and linf are strict coordinate-order folds of exactly these (the
+// dim-2/3 shortcuts of l2sq only drop the exact leading 0 +).
+
+[[nodiscard]] inline double l2sq_step(double acc, double diff) noexcept {
+  return acc + diff * diff;
+}
+
+[[nodiscard]] inline double l1_step(double acc, double diff) noexcept {
+  return acc + std::abs(diff);
+}
+
+[[nodiscard]] inline double linf_step(double acc, double diff) noexcept {
+  const double d = std::abs(diff);
+  return d > acc ? d : acc;
+}
+
+/// Coordinate-major fold: min(best, distance from `point` to each of the
+/// n centers whose coordinate d is soa[d * ld + j]). Each center folds
+/// point[d] - center[d] in coordinate order, the pair kernels' operand
+/// order and sequence, and updates best with the same strict <.
+template <typename Step>
+inline double nearest_soa(const double* point, const double* soa,
+                          std::size_t dim, std::size_t n, std::size_t ld,
+                          double best, Step&& step) noexcept {
+  for (std::size_t j = 0; j < n; ++j) {
+    double acc = 0.0;
+    for (std::size_t d = 0; d < dim; ++d) {
+      acc = step(acc, point[d] - soa[d * ld + j]);
+    }
+    if (acc < best) best = acc;
+  }
+  return best;
+}
+
 [[nodiscard]] inline std::size_t argmax(const double* values,
                                         std::size_t n) noexcept {
   std::size_t best = 0;

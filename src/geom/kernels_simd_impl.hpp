@@ -79,6 +79,10 @@ struct SimdKernels {
   static constexpr auto kPair = M == MetricKind::L2   ? scalar::l2sq
                                 : M == MetricKind::L1 ? scalar::l1
                                                       : scalar::linf;
+  /// Its per-coordinate step (coordinate-major tails).
+  static constexpr auto kStep = M == MetricKind::L2   ? scalar::l2sq_step
+                                : M == MetricKind::L1 ? scalar::l1_step
+                                                      : scalar::linf_step;
 
   /// One coordinate's contribution, in the scalar fold's exact order.
   static reg accum(reg acc, reg diff) {
@@ -390,6 +394,50 @@ struct SimdKernels {
     }
   }
 
+  /// Coordinate-major fold, vectorized across the centers: lane j
+  /// accumulates center j's coordinates in the scalar order (point -
+  /// center, then the metric's step) and keeps a running minimum; one
+  /// horizontal min at the end. The min of non-negative, NaN-free values
+  /// is the same whatever order the lanes fold in. Two lane groups per
+  /// pass keep two independent accumulate chains in flight. The ragged
+  /// tail (callers pad to a multiple of every width, so normally none)
+  /// runs the scalar reference.
+  static double nearest_soa(const double* point, const double* soa,
+                            std::size_t dim, std::size_t n, std::size_t ld,
+                            double best) {
+    reg b = V::set1(best);
+    std::size_t j = 0;
+    for (; j + 2 * W <= n; j += 2 * W) {
+      reg acc0 = V::zero();
+      reg acc1 = V::zero();
+      const double* s = soa + j;
+      for (std::size_t d = 0; d < dim; ++d, s += ld) {
+        const reg x = V::set1(point[d]);
+        acc0 = accum(acc0, V::sub(x, V::loadu(s)));
+        acc1 = accum(acc1, V::sub(x, V::loadu(s + W)));
+      }
+      b = V::vmin(acc0, b);
+      b = V::vmin(acc1, b);
+    }
+    for (; j + W <= n; j += W) {
+      reg acc = V::zero();
+      const double* s = soa + j;
+      for (std::size_t d = 0; d < dim; ++d, s += ld) {
+        acc = accum(acc, V::sub(V::set1(point[d]), V::loadu(s)));
+      }
+      b = V::vmin(acc, b);
+    }
+    double lanes[W];
+    V::storeu(lanes, b);
+    for (std::size_t l = 0; l < W; ++l) {
+      if (lanes[l] < best) best = lanes[l];
+    }
+    if (j < n) {
+      best = scalar::nearest_soa(point, soa + j, dim, n - j, ld, best, kStep);
+    }
+    return best;
+  }
+
   static void nearest_multi_gather(const double* coords, std::size_t dim,
                                    const index_t* ids, std::size_t n,
                                    const double* const* centers,
@@ -475,6 +523,7 @@ constexpr KernelTable make_kernel_table(const char* name) {
        &Li::nearest_multi_contig},
       &simd_argmax<V>,
       {&L2::pairwise_tile, &L1::pairwise_tile, &Li::pairwise_tile},
+      {&L2::nearest_soa, &L1::nearest_soa, &Li::nearest_soa},
   };
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <numeric>
 
 namespace kc {
@@ -274,51 +275,143 @@ SpatialIndex::SpatialIndex(const PointSet& points)
   }
 }
 
+double box_mindist_comparable(MetricKind kind, const double* p,
+                              const double* lo, const double* hi,
+                              std::size_t dim) noexcept {
+  const auto gap = [&](std::size_t d) {
+    return p[d] < lo[d] ? lo[d] - p[d] : p[d] > hi[d] ? p[d] - hi[d] : 0.0;
+  };
+  double acc = 0.0;
+  switch (kind) {
+    case MetricKind::L2:
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double g = gap(d);
+        acc += g * g;
+      }
+      break;
+    case MetricKind::L1:
+      for (std::size_t d = 0; d < dim; ++d) acc += gap(d);
+      break;
+    case MetricKind::Linf:
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double g = gap(d);
+        if (g > acc) acc = g;
+      }
+      break;
+  }
+  return acc;
+}
+
 double SpatialIndex::cell_mindist_comparable(MetricKind kind,
                                              const double* center,
                                              std::size_t c) const noexcept {
-  const double* lo = cell_lo(c);
-  const double* hi = cell_hi(c);
-  // Per coordinate, the gap from the center to the box interval, folded
-  // exactly like the scalar kernels fold their per-coordinate diffs
-  // (sequential coordinate order, same square/abs/max shape). For any
-  // member p, lo[d] <= p[d] <= hi[d], so the rounded gap is dominated
-  // coordinate-wise by the kernel's rounded |p[d] - center[d]|, and the
-  // identical monotone fold keeps the domination through rounding —
-  // the returned bound never exceeds any member's kernel distance.
-  switch (kind) {
-    case MetricKind::L2: {
-      double acc = 0.0;
+  return box_mindist_comparable(kind, center, cell_lo(c), cell_hi(c), dim_);
+}
+
+SampleBoxes::SampleBoxes(const PointSet& points,
+                         std::span<const index_t> centers)
+    : dim_(points.dim()), members_(centers.begin(), centers.end()) {
+  const std::size_t n = members_.size();
+  const auto coord = [&](index_t id, std::size_t axis) {
+    return points.data(id)[axis];
+  };
+  // Exact box of members_[b, e), folded in member order.
+  const auto fit_box = [&](std::size_t b, std::size_t e, double* box) {
+    const double* first = points.data(members_[b]);
+    std::copy(first, first + dim_, box);
+    std::copy(first, first + dim_, box + dim_);
+    for (std::size_t i = b + 1; i < e; ++i) {
+      const double* p = points.data(members_[i]);
       for (std::size_t d = 0; d < dim_; ++d) {
-        const double g = center[d] < lo[d]   ? lo[d] - center[d]
-                         : center[d] > hi[d] ? center[d] - hi[d]
-                                             : 0.0;
-        acc += g * g;
+        box[d] = std::min(box[d], p[d]);
+        box[dim_ + d] = std::max(box[dim_ + d], p[d]);
       }
-      return acc;
     }
-    case MetricKind::L1: {
-      double acc = 0.0;
+  };
+  begin_.assign(1, 0);
+  if (n > 0) {
+    begin_.push_back(n);
+    box_.resize(2 * dim_);
+    fit_box(0, n, box_.data());
+  }
+
+  const std::size_t target =
+      std::min(kSampleBoxGroups, n / kSampleBoxMinMembers);
+  while (group_count() < target) {
+    std::size_t split = 0;
+    std::size_t axis = 0;
+    double widest = 0.0;
+    for (std::size_t g = 0; g < group_count(); ++g) {
       for (std::size_t d = 0; d < dim_; ++d) {
-        const double g = center[d] < lo[d]   ? lo[d] - center[d]
-                         : center[d] > hi[d] ? center[d] - hi[d]
-                                             : 0.0;
-        acc += g;
+        const double w = hi(g)[d] - lo(g)[d];
+        if (w > widest) {
+          widest = w;
+          split = g;
+          axis = d;
+        }
       }
-      return acc;
     }
-    case MetricKind::Linf: {
-      double acc = 0.0;
-      for (std::size_t d = 0; d < dim_; ++d) {
-        const double g = center[d] < lo[d]   ? lo[d] - center[d]
-                         : center[d] > hi[d] ? center[d] - hi[d]
-                                             : 0.0;
-        if (g > acc) acc = g;
+    if (!(widest > 0.0)) break;  // every box is a single point
+
+    const std::size_t b = begin_[split];
+    const std::size_t e = begin_[split + 1];
+    const double mid =
+        lo(split)[axis] + 0.5 * (hi(split)[axis] - lo(split)[axis]);
+    const auto first = members_.begin() + static_cast<std::ptrdiff_t>(b);
+    const auto last = members_.begin() + static_cast<std::ptrdiff_t>(e);
+    const auto below = std::stable_partition(
+        first, last, [&](index_t id) { return coord(id, axis) < mid; });
+    std::size_t cut = b + static_cast<std::size_t>(below - first);
+    if (cut == b || cut == e) {
+      // The rounded midpoint sits on a box edge (adjacent doubles, or a
+      // side too wide to halve): split at the median rank instead, ties
+      // by input position. A side wider than zero has two distinct
+      // members, so both halves are non-empty.
+      std::vector<std::size_t> rank(e - b);
+      std::iota(rank.begin(), rank.end(), std::size_t{0});
+      std::stable_sort(rank.begin(), rank.end(),
+                       [&](std::size_t x, std::size_t y) {
+                         return coord(members_[b + x], axis) <
+                                coord(members_[b + y], axis);
+                       });
+      // Each half back in input order.
+      const auto half =
+          rank.begin() + static_cast<std::ptrdiff_t>(rank.size() / 2);
+      std::sort(rank.begin(), half);
+      std::sort(half, rank.end());
+      std::vector<index_t> parted(rank.size());
+      for (std::size_t i = 0; i < rank.size(); ++i) {
+        parted[i] = members_[b + rank[i]];
       }
-      return acc;
+      std::copy(parted.begin(), parted.end(), first);
+      cut = b + rank.size() / 2;
+    }
+    begin_.insert(begin_.begin() + static_cast<std::ptrdiff_t>(split + 1),
+                  cut);
+    box_.insert(
+        box_.begin() + static_cast<std::ptrdiff_t>(2 * dim_ * (split + 1)),
+        2 * dim_, 0.0);
+    fit_box(b, cut, box_.data() + 2 * dim_ * split);
+    fit_box(cut, e, box_.data() + 2 * dim_ * (split + 1));
+  }
+
+  // Coordinate-major rows per group, padded with +inf lanes.
+  lane_begin_.assign(1, 0);
+  for (std::size_t g = 0; g < group_count(); ++g) {
+    const std::size_t padded = (group_size(g) + kSampleBoxLanes - 1) /
+                               kSampleBoxLanes * kSampleBoxLanes;
+    lane_begin_.push_back(lane_begin_.back() + padded);
+  }
+  soa_.assign(dim_ * lane_begin_.back(),
+              std::numeric_limits<double>::infinity());
+  for (std::size_t g = 0; g < group_count(); ++g) {
+    double* block = soa_.data() + dim_ * lane_begin_[g];
+    const std::size_t ld = lanes(g);
+    for (std::size_t j = 0; j < group_size(g); ++j) {
+      const double* p = points.data(members_[begin_[g] + j]);
+      for (std::size_t d = 0; d < dim_; ++d) block[d * ld + j] = p[d];
     }
   }
-  return 0.0;
 }
 
 }  // namespace kc

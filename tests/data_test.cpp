@@ -296,8 +296,13 @@ TEST(KddSurrogate, SmallKValuesSpanOrdersOfMagnitude) {
 
 class LoaderTest : public ::testing::Test {
  protected:
+  // One file per test: ctest runs the tests of this fixture as parallel
+  // processes, which must not write and delete each other's input.
   std::filesystem::path path_ =
-      std::filesystem::temp_directory_path() / "kc_loader_test.csv";
+      std::filesystem::temp_directory_path() /
+      (std::string("kc_loader_test_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+       ".csv");
   void TearDown() override { std::filesystem::remove(path_); }
   void write(const std::string& content) {
     std::ofstream out(path_);

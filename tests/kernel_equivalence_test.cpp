@@ -6,8 +6,9 @@
 //
 // Coverage: all three metrics, dims 1-16, ragged lengths around both
 // vector widths (4 and 8 lanes), gather vs contiguous id spans,
-// center-blocked multi folds vs repeated single-center passes, and the
-// vectorized argmax (including ties).
+// center-blocked multi folds vs repeated single-center passes, the
+// coordinate-major sample-box fold, and the vectorized argmax
+// (including ties).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -455,6 +456,65 @@ TEST_P(KernelEquivalence, TiledOracleStreamsMatchPerPairScalar) {
             }
           });
       expect_bit_identical(upper, dense);
+    }
+  }
+}
+
+// The coordinate-major fold behind the sample-box scans: every table
+// returns the scalar reference's bits at every lane count, reads no
+// lane past n, and +inf padding lanes (how SampleBoxes pads a group to
+// a multiple of the widest vector) never change the result.
+TEST_P(KernelEquivalence, SoaFoldMatchesScalarAndPaddingIsInert) {
+  const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
+  std::vector<const KernelTable*> tables{scalar};
+  for (const IsaLevel level : simd_levels_available()) {
+    tables.push_back(simd::kernels_for(level));
+  }
+  const auto m = static_cast<std::size_t>(GetParam());
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  constexpr double kGuard = -1.0e9;  // would win the min if ever read
+
+  Rng rng(161);
+  for (std::size_t dim = 1; dim <= 16; ++dim) {
+    for (std::size_t n = 1; n <= 17; ++n) {
+      const std::size_t ld = (n + 7) / 8 * 8;
+      std::vector<double> padded(dim * ld, kInfDist);
+      for (std::size_t d = 0; d < dim; ++d) {
+        for (std::size_t j = 0; j < n; ++j) {
+          padded[d * ld + j] = rng.uniform(-50.0, 50.0);
+        }
+      }
+      std::vector<double> guarded = padded;
+      for (std::size_t d = 0; d < dim; ++d) {
+        for (std::size_t j = n; j < ld; ++j) guarded[d * ld + j] = kGuard;
+      }
+      const auto point = random_coords(dim, rng);
+
+      // The pair kernel over each center's gathered row is the ground
+      // truth, dim-2/3 shortcuts included.
+      double exact = kInfDist;
+      std::vector<double> row(dim);
+      for (std::size_t j = 0; j < n; ++j) {
+        for (std::size_t d = 0; d < dim; ++d) row[d] = padded[d * ld + j];
+        const double v = scalar->pair[m](point.data(), row.data(), dim);
+        if (v < exact) exact = v;
+      }
+      for (const double start : {kInfDist, exact, 0.5 * exact, 2.0 * exact}) {
+        const double want = start < exact ? start : exact;
+        for (const KernelTable* table : tables) {
+          SCOPED_TRACE(std::string(table->name) + " dim=" +
+                       std::to_string(dim) + " n=" + std::to_string(n));
+          const auto fold = table->nearest_soa[m];
+          EXPECT_EQ(bits(fold(point.data(), padded.data(), dim, n, ld, start)),
+                    bits(want));
+          EXPECT_EQ(bits(fold(point.data(), guarded.data(), dim, n, ld, start)),
+                    bits(want))
+              << "read a lane past n";
+          EXPECT_EQ(bits(fold(point.data(), padded.data(), dim, ld, ld, start)),
+                    bits(want))
+              << "a +inf padding lane changed the result";
+        }
+      }
     }
   }
 }

@@ -1,12 +1,14 @@
-// Spatial-pruning suite: the cell-pruned scans (geom/spatial_index.hpp)
-// must be **bit-identical** to the unpruned path — pruning may only
-// skip pairs the triangle inequality proves cannot win — while charging
+// Spatial-pruning suite: the cell-pruned scans and the sample-box scans
+// (geom/spatial_index.hpp) must be **bit-identical** to the unpruned
+// path — pruning may only skip pairs the triangle inequality proves
+// cannot win — while charging
 // strictly no more distance evaluations, splitting the skipped pairs
 // into the pruned_pairs counter, and honouring the same budget/cancel
 // gating contract as the unpruned scans on every backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -349,6 +351,157 @@ TEST(SpatialIndex, CellMindistNeverExceedsAnyMemberDistance) {
   }
 }
 
+// ---------------------------------------------------------- sample boxes
+
+/// `n` points, then `k` centers at ids n .. n + k - 1, for the sample-box
+/// scans: clustered, uniform, every center at one location (the split
+/// has nothing to cut), and coordinates drawn from {+0.0, -0.0, 1, -1}
+/// so signed zeros meet the box gaps.
+PointSet make_boxed_input(int shape, std::size_t n, std::size_t k,
+                          std::size_t dim, Rng& rng) {
+  switch (shape) {
+    case 0: return data::generate_gau(n + k, 8, dim, 100.0, 0.1, rng);
+    case 1: return data::generate_unif(n + k, dim, 100.0, rng);
+    case 2: {
+      PointSet out = data::generate_gau(n, 8, dim, 100.0, 0.1, rng);
+      const PointSet one = data::generate_unif(1, dim, 100.0, rng);
+      for (std::size_t i = 0; i < k; ++i) out.push_back(one[0]);
+      return out;
+    }
+    default: {
+      constexpr double kSigned[4] = {0.0, -0.0, 1.0, -1.0};
+      PointSet out(n + k, dim);
+      for (index_t i = 0; i < n + k; ++i) {
+        for (double& c : out.mutable_point(i)) c = kSigned[rng.uniform_int(4)];
+      }
+      return out;
+    }
+  }
+}
+
+const char* boxed_shape_name(int shape) {
+  return shape == 0   ? "clustered"
+         : shape == 1 ? "uniform"
+         : shape == 2 ? "duplicates"
+                      : "signed-zeros";
+}
+
+/// `count` distinct ids from [lo, lo + range), in random order.
+std::vector<index_t> shuffled_ids(std::size_t lo, std::size_t range,
+                                  std::size_t count, Rng& rng) {
+  std::vector<index_t> ids(range);
+  std::iota(ids.begin(), ids.end(), static_cast<index_t>(lo));
+  for (std::size_t i = 0; i < count; ++i) {
+    std::swap(ids[i], ids[i + rng.uniform_int(range - i)]);
+  }
+  ids.resize(count);
+  return ids;
+}
+
+TEST(SampleBoxes, SplitKeepsInputOrderExactBoxesAndPaddedRows) {
+  Rng rng(57);
+  for (const std::size_t dim : {1u, 3u, 10u}) {
+    for (const std::size_t k : {1u, 7u, 300u, 2100u}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) + " k=" + std::to_string(k));
+      const PointSet pts = data::generate_gau(k + 10, 8, dim, 100.0, 0.1, rng);
+      const std::vector<index_t> centers = shuffled_ids(10, k, k, rng);
+      const SampleBoxes boxes(pts, centers);
+      ASSERT_EQ(boxes.size(), k);
+      // Distinct clustered centers split until the cap: one group per
+      // kSampleBoxMinMembers centers, at most kSampleBoxGroups.
+      EXPECT_EQ(boxes.group_count(),
+                std::clamp<std::size_t>(k / kSampleBoxMinMembers, 1,
+                                        kSampleBoxGroups));
+
+      std::vector<std::size_t> position(pts.size());
+      for (std::size_t i = 0; i < k; ++i) position[centers[i]] = i;
+      std::vector<index_t> seen;
+      for (std::size_t g = 0; g < boxes.group_count(); ++g) {
+        const auto members = boxes.members(g);
+        ASSERT_FALSE(members.empty());
+        const std::size_t lanes = boxes.lanes(g);
+        EXPECT_EQ(lanes % kSampleBoxLanes, 0u);
+        EXPECT_GE(lanes, members.size());
+        EXPECT_LT(lanes, members.size() + kSampleBoxLanes);
+        for (std::size_t j = 0; j < members.size(); ++j) {
+          if (j > 0) {
+            EXPECT_LT(position[members[j - 1]], position[members[j]]);
+          }
+          seen.push_back(members[j]);
+        }
+        for (std::size_t d = 0; d < dim; ++d) {
+          double lo = kInfDist;
+          double hi = -kInfDist;
+          for (std::size_t j = 0; j < members.size(); ++j) {
+            const double x = pts.data(members[j])[d];
+            lo = std::min(lo, x);
+            hi = std::max(hi, x);
+            EXPECT_EQ(boxes.soa(g)[d * lanes + j], x);
+          }
+          EXPECT_EQ(boxes.lo(g)[d], lo);
+          EXPECT_EQ(boxes.hi(g)[d], hi);
+          for (std::size_t j = members.size(); j < lanes; ++j) {
+            EXPECT_EQ(boxes.soa(g)[d * lanes + j], kInfDist);
+          }
+        }
+      }
+      std::vector<index_t> sorted_centers = centers;
+      std::sort(seen.begin(), seen.end());
+      std::sort(sorted_centers.begin(), sorted_centers.end());
+      EXPECT_EQ(seen, sorted_centers);
+    }
+  }
+
+  // Nothing to split: every center at one location.
+  PointSet same;
+  for (std::size_t i = 0; i < 2 * kSampleBoxMinMembers; ++i) {
+    same.push_back(std::vector<double>{3.0, 4.0});
+  }
+  EXPECT_EQ(SampleBoxes(same, same.all_indices()).group_count(), 1u);
+
+  // The midpoint of adjacent doubles rounds onto an edge, and a side
+  // of -1e308 .. 1e308 overflows when halved: both fall back to the
+  // median rank and still split, the lower value's ids (the even ones)
+  // first, each half in input order.
+  for (const auto& pair : {std::array<double, 2>{1.0, std::nextafter(1.0, 2.0)},
+                           std::array<double, 2>{-1e308, 1e308}}) {
+    std::vector<double> coords(2 * kSampleBoxMinMembers);
+    for (std::size_t i = 0; i < coords.size(); ++i) coords[i] = pair[i % 2];
+    const PointSet two(1, coords);
+    const SampleBoxes split(two, two.all_indices());
+    ASSERT_EQ(split.group_count(), 2u);
+    for (std::size_t half = 0; half < 2; ++half) {
+      const auto members = split.members(half);
+      ASSERT_EQ(members.size(), kSampleBoxMinMembers);
+      for (std::size_t j = 0; j < members.size(); ++j) {
+        EXPECT_EQ(members[j], 2 * j + half);
+      }
+    }
+  }
+}
+
+TEST(SampleBoxes, BoxMindistNeverExceedsAnyMemberDistance) {
+  // The grouped scan skips a group on the same bound as the grid skips
+  // a cell: the box distance, in rounded arithmetic, must be <= the
+  // kernel's rounded distance to every member, for every metric.
+  Rng rng(56);
+  const PointSet pts = make_input(0, 1500, 3, rng);
+  const SampleBoxes boxes(pts, shuffled_ids(0, 1500, 1500, rng));
+  for (const auto kind : {MetricKind::L2, MetricKind::L1, MetricKind::Linf}) {
+    DistanceOracle oracle(pts, kind);
+    for (index_t x = 0; x < pts.size(); x += 7) {
+      for (std::size_t g = 0; g < boxes.group_count(); ++g) {
+        const double bound = box_mindist_comparable(
+            kind, pts.data(x), boxes.lo(g), boxes.hi(g), pts.dim());
+        for (const index_t member : boxes.members(g)) {
+          ASSERT_LE(bound, oracle.comparable(x, member))
+              << to_string(kind) << " group " << g << " point " << x;
+        }
+      }
+    }
+  }
+}
+
 // --------------------------------------------------------- bit identity
 
 class PrunedScans : public ::testing::TestWithParam<exec::BackendKind> {};
@@ -444,6 +597,64 @@ TEST_P(PrunedScans, GonzalezRunsBitIdenticalWithPruning) {
     // Clustered data at k=16 must actually prune (this is the whole
     // point); the ratio bar lives in the bench, here just "engaged".
     EXPECT_GT(pruned_elapsed.pruned_pairs, 0u);
+  }
+}
+
+TEST_P(PrunedScans, GroupedScanBitIdenticalToUpdateNearestMulti) {
+  const auto backend = exec::make_backend(GetParam(), 4);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  Rng rng(2027);
+  constexpr std::size_t kPoints = 400;
+  constexpr std::size_t kIds = 150;
+  for (const std::size_t k : {1u, 33u, 500u, 4096u}) {
+    for (const std::size_t dim : {1u, 2u, 3u, 8u, 10u, 16u}) {
+      for (int shape = 0; shape < 4; ++shape) {
+        const PointSet pts = make_boxed_input(shape, kPoints, k, dim, rng);
+        // Random subsets of points and centers alike, in random order.
+        const std::vector<index_t> ids =
+            shuffled_ids(0, pts.size(), kIds, rng);
+        const std::vector<index_t> centers = shuffled_ids(kPoints, k, k, rng);
+        const SampleBoxes boxes(pts, centers);
+
+        for (const auto kind :
+             {MetricKind::L2, MetricKind::L1, MetricKind::Linf}) {
+          SCOPED_TRACE(std::string(boxed_shape_name(shape)) +
+                       " k=" + std::to_string(k) +
+                       " dim=" + std::to_string(dim) + " " +
+                       std::string(to_string(kind)));
+          DistanceOracle oracle(pts, kind);
+          oracle.bind_executor(backend.get(), /*min_items=*/256);
+          std::vector<double> exact(kIds, kInfDist);
+          oracle.update_nearest_multi(ids, centers, exact);
+
+          // best starting all infinite, tight (the final values), and
+          // mixed: infinite, tight, or one random center's distance.
+          for (int start = 0; start < 3; ++start) {
+            std::vector<double> init(kIds);
+            for (std::size_t i = 0; i < kIds; ++i) {
+              const std::size_t pick = start == 2 ? i % 3 : start;
+              init[i] = pick == 0   ? kInfDist
+                        : pick == 1 ? exact[i]
+                                    : oracle.comparable(
+                                          ids[i], centers[rng.uniform_int(k)]);
+            }
+            std::vector<double> want = init;
+            oracle.update_nearest_multi(ids, centers, want);
+            std::vector<double> got = init;
+            const WorkScope work;
+            oracle.update_nearest_grouped(ids, boxes, got);
+            const WorkCounters elapsed = work.elapsed();
+            for (std::size_t i = 0; i < kIds; ++i) {
+              ASSERT_EQ(bits(got[i]), bits(want[i]))
+                  << "start " << start << " element " << i;
+            }
+            EXPECT_EQ(elapsed.distance_evals + elapsed.pruned_pairs,
+                      std::uint64_t{kIds} * k);
+          }
+        }
+      }
+    }
   }
 }
 
@@ -660,6 +871,82 @@ TEST(PrunedScansGated, CompletedGatedScanChargesExactlyItsEvaluatedPairs) {
   EXPECT_EQ(ctx.budget->consumed(), scope.elapsed().distance_evals);
 }
 
+/// 200k clustered 2-D points and 4096 of them split into sample boxes:
+/// a grouped scan of every point evaluates tens of millions of pairs and
+/// skips far more, so it crosses many gates either way.
+struct GroupedGateWorkload {
+  PointSet pts;
+  std::vector<index_t> ids;
+  SampleBoxes boxes;
+
+  explicit GroupedGateWorkload(std::uint64_t seed)
+      : pts([seed] {
+          Rng rng(seed);
+          return data::generate_gau(200'000, 16, 2, 100.0, 0.5, rng);
+        }()),
+        ids(pts.all_indices()),
+        boxes(pts, [this] {
+          std::vector<index_t> centers;
+          for (index_t i = 0; i < pts.size(); i += 48) centers.push_back(i);
+          return centers;
+        }()) {}
+};
+
+TEST(PrunedScansGated, GroupedScanBudgetStopsWithinOneGateAndNeverOvercharges) {
+  const GroupedGateWorkload work(44);
+  DistanceOracle oracle(work.pts);
+  constexpr std::uint64_t kBudget = 1'000'000;
+  exec::ChunkContext ctx;
+  ctx.budget = std::make_shared<exec::EvalBudget>(kBudget);
+  oracle.bind_context(&ctx);
+
+  std::vector<double> best(work.ids.size(), kInfDist);
+  EXPECT_THROW(oracle.update_nearest_grouped(work.ids, work.boxes, best),
+               BudgetExceededError);
+  // Credit is pre-bought in gate batches and the unexecuted remainder
+  // refunded on the stop, so no executed work exceeds the budget and
+  // the scan stops within a gate of it.
+  EXPECT_LE(ctx.budget->consumed(), kBudget);
+  EXPECT_GE(ctx.budget->consumed() + 2 * exec::kGateEvals, kBudget);
+}
+
+TEST(PrunedScansGated, GroupedScanCancellationStopsItEvenWhenAllIsSkipped) {
+  const GroupedGateWorkload work(45);
+  DistanceOracle oracle(work.pts);
+  exec::ChunkContext ctx;
+  ctx.cancel = CancellationToken::make();
+  oracle.bind_context(&ctx);
+  ctx.cancel.request_cancel();
+  // From infinity the first fold's payment sees the cancel. From best
+  // = 0 no box is nearer, so every group is skipped and nothing is paid
+  // for: only the token poll, which counts skipped pairs, can see it.
+  std::vector<double> fresh(work.ids.size(), kInfDist);
+  EXPECT_THROW(oracle.update_nearest_grouped(work.ids, work.boxes, fresh),
+               CancelledError);
+  std::vector<double> zero(work.ids.size(), 0.0);
+  EXPECT_THROW(oracle.update_nearest_grouped(work.ids, work.boxes, zero),
+               CancelledError);
+}
+
+TEST(PrunedScansGated, CompletedGroupedScanChargesExactlyItsEvaluatedPairs) {
+  const GroupedGateWorkload work(46);
+  const auto pool = exec::make_backend(exec::BackendKind::ThreadPool, 4);
+  DistanceOracle oracle(work.pts);
+  oracle.bind_executor(pool.get());
+  exec::ChunkContext ctx;
+  ctx.budget = std::make_shared<exec::EvalBudget>(std::uint64_t{1} << 40);
+  oracle.bind_context(&ctx);
+
+  std::vector<double> best(work.ids.size(), kInfDist);
+  const WorkScope scope;
+  oracle.update_nearest_grouped(work.ids, work.boxes, best);
+  // Every shard refunds its unused credit: the odometer and the
+  // counters agree exactly, the skipped pairs free.
+  EXPECT_EQ(ctx.budget->consumed(), scope.elapsed().distance_evals);
+  EXPECT_EQ(scope.elapsed().distance_evals + scope.elapsed().pruned_pairs,
+            std::uint64_t{work.ids.size()} * work.boxes.size());
+}
+
 // ------------------------------------------------------------- api knob
 
 TEST(ApiSolverPrune, AutoPrunesBitIdenticallyAndReportsTheSplit) {
@@ -693,6 +980,78 @@ TEST(ApiSolverPrune, AutoPrunesBitIdenticallyAndReportsTheSplit) {
          std::string_view(algorithm) == "eim")) {
       EXPECT_GT(on.pairs_pruned, 0u);
     }
+  }
+}
+
+TEST(ApiSolverPrune, EimSampleBoxesPruneBitIdenticallyOnEveryBackend) {
+  // 20,000 points at k = 25 are above EIM's loop threshold (about
+  // 11,600), so EIM samples and folds each new sample through its boxes.
+  // At 10-D no grid is built, so the boxes are the only pruning; a
+  // prune=Off request must still report none.
+  for (const std::size_t dim : {2u, 10u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(2028);
+    const PointSet pts = data::generate_gau(20'000, 25, dim, 100.0, 0.1, rng);
+    std::vector<api::SolveReport> pruned;
+    for (const auto kind :
+         {exec::BackendKind::Sequential, exec::BackendKind::ThreadPool}) {
+      SCOPED_TRACE(std::string(exec::to_string(kind)));
+      api::SolveRequest request;
+      request.points = &pts;
+      request.k = 25;
+      request.algorithm = "eim";
+      request.exec.kind = kind;
+      request.exec.threads = 4;
+      request.prune = PruneMode::Off;
+      api::Solver solver;
+      const api::SolveReport off = solver.solve(request);
+      request.prune = PruneMode::Auto;
+      const api::SolveReport on = solver.solve(request);
+
+      ASSERT_TRUE(on.sampled);
+      EXPECT_EQ(on.centers, off.centers);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(on.value),
+                std::bit_cast<std::uint64_t>(off.value));
+      EXPECT_EQ(on.iterations, off.iterations);
+      EXPECT_EQ(on.final_sample_size, off.final_sample_size);
+      EXPECT_EQ(off.pairs_pruned, 0u);
+      EXPECT_EQ(on.dist_evals + on.pairs_pruned, off.dist_evals);
+      if (!force_no_prune_requested()) {
+        EXPECT_GT(on.pairs_pruned, 0u);
+      }
+      // The same rounds, each with the same pairs; every select and
+      // prune round folds through the boxes, and every prune round ships
+      // them to each of its machines, two rows per group (each new
+      // sample here has about 2,600 members, so the full
+      // kSampleBoxGroups groups).
+      const auto& on_rounds = on.trace.rounds();
+      const auto& off_rounds = off.trace.rounds();
+      ASSERT_EQ(on_rounds.size(), off_rounds.size());
+      const std::uint64_t boxes_shipped =
+          force_no_prune_requested()
+              ? 0
+              : static_cast<std::uint64_t>(request.exec.machines) * 2 *
+                    kSampleBoxGroups;
+      for (std::size_t r = 0; r < on_rounds.size(); ++r) {
+        const std::string& name = on_rounds[r].name;
+        EXPECT_EQ(name, off_rounds[r].name);
+        EXPECT_EQ(
+            on_rounds[r].total_dist_evals + on_rounds[r].total_pairs_pruned,
+            off_rounds[r].total_dist_evals)
+            << name;
+        if (!force_no_prune_requested() &&
+            (name == "eim-select" || name == "eim-prune")) {
+          EXPECT_GT(on_rounds[r].total_pairs_pruned, 0u) << name;
+        }
+        const std::uint64_t extra =
+            on_rounds[r].shuffle_items - off_rounds[r].shuffle_items;
+        EXPECT_EQ(extra, name == "eim-prune" ? boxes_shipped : 0u) << name;
+      }
+      pruned.push_back(on);
+    }
+    EXPECT_EQ(pruned[0].centers, pruned[1].centers);
+    EXPECT_EQ(pruned[0].dist_evals, pruned[1].dist_evals);
+    EXPECT_EQ(pruned[0].pairs_pruned, pruned[1].pairs_pruned);
   }
 }
 
