@@ -1,18 +1,57 @@
 #include "data/loader.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 namespace kc::data {
 
 namespace {
 
+/// The bytes the grammar allows after a number.
+bool is_trailing(char c) {
+  return c == ' ' || c == '\t' || c == '\r' || c == '.';
+}
+
+/// The fast path for a plain decimal: an optional '-' then a digit or
+/// '.'. Fails, leaving the verdict (and `value`) to parse_with_strtod,
+/// when the field is anything else, when from_chars reports an error
+/// (out of range included), or when a byte outside is_trailing follows
+/// the number. Where it succeeds, strtod reads the same prefix to the
+/// same value.
+bool parse_plain_decimal(std::string_view field, double& value) {
+  const std::string_view number = field.substr(field.starts_with('-') ? 1 : 0);
+  if (number.empty() ||
+      !((number[0] >= '0' && number[0] <= '9') || number[0] == '.')) {
+    return false;
+  }
+  const char* const last = field.data() + field.size();
+  const auto [end, ec] = std::from_chars(field.data(), last, value);
+  return ec == std::errc{} && std::all_of(end, last, is_trailing);
+}
+
+/// The grammar itself: numeric iff strtod reads a non-empty prefix of
+/// the token and only is_trailing bytes follow it (up to a NUL).
+bool parse_with_strtod(std::string_view field, double& value) {
+  const std::string token(field);
+  char* parse_end = nullptr;
+  value = std::strtod(token.c_str(), &parse_end);
+  if (parse_end == token.c_str()) return false;
+  for (const char* p = parse_end; *p != '\0'; ++p) {
+    if (!is_trailing(*p)) return false;
+  }
+  return true;
+}
+
 /// Parses one delimited line, keeping numeric fields only. Returns the
 /// column positions that were numeric (used to pin the schema).
-void split_numeric(const std::string& line, char delimiter,
+void split_numeric(std::string_view line, char delimiter,
                    std::vector<double>& values,
                    std::vector<std::size_t>& numeric_columns) {
   values.clear();
@@ -21,25 +60,13 @@ void split_numeric(const std::string& line, char delimiter,
   std::size_t start = 0;
   while (start <= line.size()) {
     std::size_t end = line.find(delimiter, start);
-    if (end == std::string::npos) end = line.size();
-    const std::string token = line.substr(start, end - start);
-    if (!token.empty()) {
-      char* parse_end = nullptr;
-      const double value = std::strtod(token.c_str(), &parse_end);
-      // Numeric iff the whole token (modulo trailing spaces/CR) parsed.
-      bool fully_numeric = parse_end != token.c_str();
-      if (fully_numeric) {
-        for (const char* p = parse_end; *p != '\0'; ++p) {
-          if (*p != ' ' && *p != '\t' && *p != '\r' && *p != '.') {
-            fully_numeric = false;
-            break;
-          }
-        }
-      }
-      if (fully_numeric) {
-        values.push_back(value);
-        numeric_columns.push_back(column);
-      }
+    if (end == std::string_view::npos) end = line.size();
+    const std::string_view field = line.substr(start, end - start);
+    double value = 0.0;
+    if (!field.empty() && (parse_plain_decimal(field, value) ||
+                           parse_with_strtod(field, value))) {
+      values.push_back(value);
+      numeric_columns.push_back(column);
     }
     ++column;
     if (end == line.size()) break;
@@ -88,6 +115,9 @@ PointSet load_numeric_csv(const std::string& path, const CsvOptions& options) {
     coords.insert(coords.end(), row.begin(), row.end());
     ++rows;
     if (options.max_rows != 0 && rows >= options.max_rows) break;
+  }
+  if (in.bad()) {
+    throw std::runtime_error("load_numeric_csv: cannot read '" + path + "'");
   }
   if (rows == 0) {
     throw std::runtime_error("load_numeric_csv: no numeric rows in '" + path +

@@ -23,6 +23,15 @@ struct CsvOptions {
 
 /// Parses a delimited text file into a PointSet. Throws
 /// std::runtime_error on I/O failure or inconsistent rows.
+///
+/// Lines are split at `delimiter`; empty lines and "\r" are skipped. A
+/// field is numeric iff std::strtod (C locale) reads a non-empty prefix
+/// of it and only ' ', '\t', '\r' or '.' follow, so a leading '+' or
+/// blank, hex, inf and nan are numbers too. A line with no numeric field
+/// (a header) is skipped. Plain decimals (an optional '-' then a digit
+/// or '.') take a std::from_chars fast path; it is used only where it
+/// gives strtod's verdict and bits, and every other field goes through
+/// strtod itself.
 [[nodiscard]] PointSet load_numeric_csv(const std::string& path,
                                         const CsvOptions& options = {});
 

@@ -1,10 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
+#include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "algo/brute_force.hpp"
 #include "algo/gonzalez.hpp"
@@ -369,6 +378,18 @@ TEST_F(LoaderTest, ValidatesExpectedDim) {
                std::runtime_error);
 }
 
+TEST_F(LoaderTest, ReportsReadErrors) {
+  // A directory opens but cannot be read.
+  const std::string dir = std::filesystem::temp_directory_path().string();
+  try {
+    (void)load_numeric_csv(dir);
+    FAIL() << "loaded a directory";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "load_numeric_csv: cannot read '" + dir + "'");
+  }
+}
+
 TEST_F(LoaderTest, SaveLoadRoundTrip) {
   Rng rng(22);
   const PointSet original = generate_unif(50, 3, 10.0, rng);
@@ -379,6 +400,382 @@ TEST_F(LoaderTest, SaveLoadRoundTrip) {
   for (index_t i = 0; i < original.size(); ++i) {
     for (std::size_t d = 0; d < original.dim(); ++d) {
       EXPECT_DOUBLE_EQ(loaded[i][d], original[i][d]);
+    }
+  }
+}
+
+// The loader before plain decimals took the from_chars fast path: every
+// field copied into a std::string and read by strtod. The differential
+// tests below hold load_numeric_csv to it, bit for bit and message for
+// message.
+namespace reference {
+
+void split_numeric(const std::string& line, char delimiter,
+                   std::vector<double>& values,
+                   std::vector<std::size_t>& numeric_columns) {
+  values.clear();
+  numeric_columns.clear();
+  std::size_t column = 0;
+  std::size_t start = 0;
+  while (start <= line.size()) {
+    std::size_t end = line.find(delimiter, start);
+    if (end == std::string::npos) end = line.size();
+    const std::string token = line.substr(start, end - start);
+    if (!token.empty()) {
+      char* parse_end = nullptr;
+      const double value = std::strtod(token.c_str(), &parse_end);
+      bool fully_numeric = parse_end != token.c_str();
+      if (fully_numeric) {
+        for (const char* p = parse_end; *p != '\0'; ++p) {
+          if (*p != ' ' && *p != '\t' && *p != '\r' && *p != '.') {
+            fully_numeric = false;
+            break;
+          }
+        }
+      }
+      if (fully_numeric) {
+        values.push_back(value);
+        numeric_columns.push_back(column);
+      }
+    }
+    ++column;
+    if (end == line.size()) break;
+    start = end + 1;
+  }
+}
+
+PointSet load_numeric_csv(const std::string& path,
+                          const CsvOptions& options = {}) {
+  std::ifstream in(path);
+  if (!in) {
+    throw std::runtime_error("load_numeric_csv: cannot open '" + path + "'");
+  }
+
+  std::vector<double> coords;
+  std::vector<double> row;
+  std::vector<std::size_t> row_columns;
+  std::vector<std::size_t> schema;
+  std::size_t rows = 0;
+  std::size_t dim = 0;
+
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line == "\r") continue;
+    split_numeric(line, options.delimiter, row, row_columns);
+    if (row.empty()) continue;
+    if (options.drop_last_column) {
+      row.pop_back();
+      row_columns.pop_back();
+      if (row.empty()) continue;
+    }
+    if (rows == 0) {
+      schema = row_columns;
+      dim = row.size();
+      if (options.expect_dim && dim != *options.expect_dim) {
+        throw std::runtime_error(
+            "load_numeric_csv: expected " +
+            std::to_string(*options.expect_dim) + " numeric columns, found " +
+            std::to_string(dim));
+      }
+    } else if (row_columns != schema) {
+      throw std::runtime_error("load_numeric_csv: inconsistent row " +
+                               std::to_string(rows + 1) + " in '" + path + "'");
+    }
+    coords.insert(coords.end(), row.begin(), row.end());
+    ++rows;
+    if (options.max_rows != 0 && rows >= options.max_rows) break;
+  }
+  if (rows == 0) {
+    throw std::runtime_error("load_numeric_csv: no numeric rows in '" + path +
+                             "'");
+  }
+  return PointSet(dim, coords);
+}
+
+}  // namespace reference
+
+/// What a loader made of a file: its points as bit patterns, or the
+/// message of the std::runtime_error it threw.
+struct LoadOutcome {
+  std::string error;
+  std::size_t dim = 0;
+  std::vector<std::uint64_t> bits;
+  bool operator==(const LoadOutcome&) const = default;
+};
+
+template <typename Load>
+LoadOutcome outcome_of(const Load& load) {
+  LoadOutcome outcome;
+  try {
+    const PointSet ps = load();
+    outcome.dim = ps.dim();
+    for (const double c : ps.raw()) {
+      outcome.bits.push_back(std::bit_cast<std::uint64_t>(c));
+    }
+  } catch (const std::runtime_error& e) {
+    outcome.error = e.what();
+  }
+  return outcome;
+}
+
+/// Shows a CSV text with its control and non-ASCII bytes as \xNN, for
+/// failure messages.
+std::string escaped(std::string_view text) {
+  std::string out;
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f) {
+      out += c;
+    } else {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\x%02x", byte);
+      out += hex;
+    }
+  }
+  return out;
+}
+
+/// The option shapes every differential case runs under.
+std::vector<CsvOptions> option_shapes() {
+  std::vector<CsvOptions> shapes(4);
+  shapes[1].drop_last_column = true;
+  shapes[2].delimiter = ';';
+  shapes[3].max_rows = 3;
+  return shapes;
+}
+
+/// Fields whose verdict or value is easy to get wrong: signs, blanks and
+/// dots around a number, partial exponents, range edges, hex, inf and nan
+/// spellings, and a field with an embedded NUL.
+const std::vector<std::string>& tricky_fields() {
+  static const std::vector<std::string> fields = {
+      "1", "-2.5", "+3", " 4", "5 ", "6\r", "7.", "8..", ".9", "-.5",
+      "1.e5", "1e", "1e+", "1e-400", "1e400", "4.9e-324",
+      "2.2250738585072011e-308", "1.7976931348623157e308", "0x1p3", "inf",
+      "-inf", "INF", "infinity", "nan", "-nan", "nan(123)", "1 2", "-", ".",
+      "-0", "-0.0", "12345678901234567890123", "\"1\"",
+      std::string("3\0z", 3), "0x", "-x", "1e5.", "\t7", "1.5.5", "--1",
+      "-+1", "1,5", "0.1e-5", "00012", "9007199254740993", "1e-310"};
+  return fields;
+}
+
+/// A random finite double (subnormals and zeros included).
+double random_finite(Rng& rng) {
+  constexpr std::uint64_t kExponent = 0x7ff0000000000000ull;
+  std::uint64_t bits = rng();
+  if (rng.uniform_int(16) == 0) bits &= ~kExponent;  // subnormal or zero
+  if ((bits & kExponent) == kExponent) bits &= ~(std::uint64_t{1} << 62);
+  return std::bit_cast<double>(bits);
+}
+
+/// One random field of the differential corpus.
+std::string random_field(Rng& rng) {
+  char buf[64];
+  switch (rng.uniform_int(6)) {
+    case 0:
+      std::snprintf(buf, sizeof buf, "%.17g", random_finite(rng));
+      return buf;
+    case 1:
+      std::snprintf(buf, sizeof buf, "%.17g", rng.uniform(-1000.0, 1000.0));
+      return buf;
+    case 2: {
+      const double mantissa = rng.uniform(-1.0, 1.0);
+      const auto exponent = static_cast<double>(rng.uniform_int(41)) - 20.0;
+      std::snprintf(buf, sizeof buf, "%.6g",
+                    mantissa * std::pow(10.0, exponent));
+      return buf;
+    }
+    case 3:
+      return std::to_string(rng.uniform_int(100));
+    default: {
+      const auto& fields = tricky_fields();
+      return fields[rng.uniform_int(fields.size())];
+    }
+  }
+}
+
+/// One seeded CSV text: 1-6 rows of 1-4 fields, maybe a header, CRLF or
+/// blank lines, no final newline, then 0-3 byte flips, insertions or
+/// deletions.
+std::string random_csv(Rng& rng) {
+  using namespace std::string_view_literals;
+  static constexpr std::string_view kBytes = "0123456789.-+eE ,;\r\n\t\0xin"sv;
+  const char sep = rng.bernoulli(0.7) ? ',' : ';';
+  const std::string eol = rng.bernoulli(0.3) ? "\r\n" : "\n";
+  const std::size_t cols = 1 + rng.uniform_int(4);
+  std::string text;
+  if (rng.bernoulli(0.3)) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      if (c != 0) text += sep;
+      text += "col" + std::to_string(c);
+    }
+    text += eol;
+  }
+  const std::size_t rows = 1 + rng.uniform_int(6);
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (rng.bernoulli(0.1)) text += rng.bernoulli(0.5) ? "\n" : "\r\n";
+    const std::size_t fields =
+        rng.bernoulli(0.9) ? cols : 1 + rng.uniform_int(4);
+    for (std::size_t f = 0; f < fields; ++f) {
+      if (f != 0) text += sep;
+      text += random_field(rng);
+    }
+    if (r + 1 < rows || rng.bernoulli(0.7)) text += eol;
+  }
+  const std::size_t edits = rng.bernoulli(0.5) ? 1 + rng.uniform_int(3) : 0;
+  for (std::size_t e = 0; e < edits && !text.empty(); ++e) {
+    const std::size_t at = rng.uniform_int(text.size());
+    const char byte = rng.bernoulli(0.8)
+                          ? kBytes[rng.uniform_int(kBytes.size())]
+                          : static_cast<char>(rng.uniform_int(256));
+    switch (rng.uniform_int(3)) {
+      case 0:
+        text[at] = byte;
+        break;
+      case 1:
+        text.insert(at, 1, byte);
+        break;
+      default:
+        text.erase(at, 1);
+        break;
+    }
+  }
+  return text;
+}
+
+/// Loads the fixture's file with both loaders under every option shape
+/// and expects the same points or the same message.
+class LoaderDifferentialTest : public LoaderTest {
+ protected:
+  void expect_same_as_reference(const std::string& text) {
+    // A new file each time: truncating and rewriting a file can force a
+    // flush (ext4's auto_da_alloc), which made the corpus I/O-bound.
+    std::filesystem::remove(path_);
+    write(text);
+    const std::string path = path_.string();
+    for (const CsvOptions& options : option_shapes()) {
+      const LoadOutcome got =
+          outcome_of([&] { return load_numeric_csv(path, options); });
+      const LoadOutcome want = outcome_of(
+          [&] { return reference::load_numeric_csv(path, options); });
+      ASSERT_TRUE(got == want)
+          << "text \"" << escaped(text) << "\", delimiter '"
+          << options.delimiter << "', drop_last_column "
+          << options.drop_last_column << ", max_rows " << options.max_rows
+          << ": got error '" << got.error << "', want error '" << want.error
+          << "'";
+    }
+  }
+
+  /// The value the loader reads from `field` in the row `field,7`, or
+  /// nothing when the field is not numeric.
+  std::optional<double> field_value(const std::string& field) {
+    write(field + ",7\n");
+    const PointSet ps = load_numeric_csv(path_.string());
+    if (ps.dim() == 1) return std::nullopt;
+    return ps[0][0];
+  }
+};
+
+TEST_F(LoaderDifferentialTest, TrickyFieldsMatchTheReference) {
+  for (const std::string& field : tricky_fields()) {
+    for (const std::string& text :
+         {field + "\n", "1," + field + ",2\n", field + "," + field + "\r\n",
+          "x,y\n" + field, field + ";-1\n"}) {
+      expect_same_as_reference(text);
+      if (HasFatalFailure()) return;
+    }
+  }
+  // The grammar, spelled out for a few of them.
+  EXPECT_EQ(field_value("+3"), 3.0);
+  EXPECT_EQ(field_value(" 4"), 4.0);
+  EXPECT_EQ(field_value("6\r"), 6.0);
+  EXPECT_EQ(field_value("8.."), 8.0);
+  EXPECT_EQ(field_value("-.5"), -0.5);
+  EXPECT_EQ(field_value("1.e5"), 1e5);
+  EXPECT_EQ(field_value("0x1p3"), 8.0);
+  EXPECT_EQ(field_value("1e400"), HUGE_VAL);
+  EXPECT_EQ(field_value("1e-400"), 0.0);
+  EXPECT_EQ(field_value("4.9e-324"), 4.9e-324);
+  EXPECT_EQ(field_value("-inf"), -HUGE_VAL);
+  EXPECT_TRUE(std::isnan(field_value("nan(123)").value_or(0.0)));
+  EXPECT_EQ(field_value(std::string("3\0z", 3)), 3.0);
+  EXPECT_TRUE(std::signbit(field_value("-0").value_or(1.0)));
+  for (const char* field : {"1e", "1e+", "1 2", "-", ".", "\"1\"", "0x"}) {
+    EXPECT_EQ(field_value(field), std::nullopt) << field;
+  }
+}
+
+TEST_F(LoaderDifferentialTest, SeededCorpusMatchesTheReference) {
+  Rng rng(0x5eed);
+  for (int i = 0; i < 30000; ++i) {
+    expect_same_as_reference(random_csv(rng));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_F(LoaderDifferentialTest, LongFilesMatchTheReference) {
+  Rng rng(301);
+  std::string tall;
+  char buf[64];
+  for (int r = 0; r < 300000; ++r) {
+    const double x = rng.uniform(-50.0, 50.0);
+    const double y = rng.gaussian(0.0, 1e3);
+    std::snprintf(buf, sizeof buf, "%.17g,%.6g\n", x, y);
+    tall += buf;
+  }
+  expect_same_as_reference(tall);
+  std::string wide;
+  for (int r = 0; r < 2; ++r) {
+    for (int f = 0; f < 200000; ++f) {
+      if (f != 0) wide += ',';
+      std::snprintf(buf, sizeof buf, "%.17g", random_finite(rng));
+      wide += buf;
+    }
+    wide += '\n';
+  }
+  expect_same_as_reference(wide);
+}
+
+TEST_F(LoaderDifferentialTest, RandomBitPatternsRoundTrip) {
+  // 2^20 finite patterns, each printed with %.17g and as the shortest
+  // to_chars string: both must read back to the pattern itself, as the
+  // reference's strtod does.
+  constexpr int kChunks = 16;
+  constexpr int kRows = 8192;
+  constexpr int kCols = 8;
+  Rng rng(1009);
+  for (int chunk = 0; chunk < kChunks; ++chunk) {
+    std::vector<double> values(kRows * kCols);
+    for (double& v : values) v = random_finite(rng);
+    for (const bool shortest : {false, true}) {
+      std::string text;
+      char buf[64];
+      for (int r = 0; r < kRows; ++r) {
+        for (int c = 0; c < kCols; ++c) {
+          const double v = values[r * kCols + c];
+          if (c != 0) text += ',';
+          if (shortest) {
+            text.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+          } else {
+            std::snprintf(buf, sizeof buf, "%.17g", v);
+            text += buf;
+          }
+        }
+        text += '\n';
+      }
+      write(text);
+      const PointSet got = load_numeric_csv(path_.string());
+      const PointSet want = reference::load_numeric_csv(path_.string());
+      ASSERT_EQ(got.size(), static_cast<index_t>(kRows));
+      ASSERT_EQ(got.dim(), static_cast<std::size_t>(kCols));
+      for (std::size_t i = 0; i < values.size(); ++i) {
+        const auto bits = std::bit_cast<std::uint64_t>(values[i]);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.raw()[i]), bits)
+            << "value " << i << " of chunk " << chunk << ", shortest "
+            << shortest;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(want.raw()[i]), bits);
+      }
     }
   }
 }
