@@ -22,8 +22,6 @@
 //   --threads=N    pool size (default 4)
 //   --reps=R       repetitions per measurement, best-of (default 5)
 //   --quick        smaller rounds/instances (CI smoke)
-//   --analysis-status=PATH  configure stamp for the report's tooling
-//                  note (default kc_analysis_status.txt in the cwd)
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -153,44 +151,7 @@ struct Config {
   int reps = 5;
   bool quick = false;
   std::string json_path = "BENCH_exec.json";
-  // Configure-time stamp written by tools/analysis/CMakeLists.txt;
-  // relative paths resolve against the cwd, which for ctest/CI runs is
-  // the build directory where the stamp lives.
-  std::string analysis_status_path = "kc_analysis_status.txt";
 };
-
-/// What tools/analysis/kc_analysis_status.txt said at configure time:
-/// did the AST plugin build (vs. the Python extractor fallback), and
-/// which checks gate the tree. Folded into the report so a benchmark
-/// number can always be traced to the analysis regime it ran under.
-struct AnalysisStatus {
-  bool stamp_found = false;
-  bool plugin_available = false;
-  std::string llvm_version;
-  int check_count = 0;
-};
-
-AnalysisStatus read_analysis_status(const std::string& path) {
-  AnalysisStatus status;
-  std::ifstream in(path);
-  if (!in) return status;
-  status.stamp_found = true;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("available=", 0) == 0) {
-      status.plugin_available = line.substr(10) == "TRUE";
-    } else if (line.rfind("llvm_version=", 0) == 0) {
-      status.llvm_version = line.substr(13);
-    } else if (line.rfind("checks=", 0) == 0) {
-      const std::string checks = line.substr(7);
-      if (!checks.empty()) {
-        status.check_count = 1 + static_cast<int>(std::count(
-                                     checks.begin(), checks.end(), ';'));
-      }
-    }
-  }
-  return status;
-}
 
 template <typename Body>
 double best_of(int reps, Body&& body) {
@@ -333,22 +294,6 @@ void write_json(const Config& cfg, const std::vector<Entry>& entries) {
       << ", \"restricted\": " << (topo.restricted ? "true" : "false")
       << "}";
   if (hw < 2) out << ",\n  \"untrusted\": true";
-  // Tooling provenance: which static-analysis frontend gated the tree
-  // this build ("plugin" = kc-* clang-tidy module, "extractor" = the
-  // Python lock-order fallback, "unknown" = no configure stamp found,
-  // e.g. the binary ran outside its build directory).
-  const AnalysisStatus analysis =
-      read_analysis_status(cfg.analysis_status_path);
-  out << ",\n  \"tooling\": {\"analysis\": \""
-      << (!analysis.stamp_found
-              ? "unknown"
-              : analysis.plugin_available ? "plugin" : "extractor");
-  out << "\"";
-  if (analysis.stamp_found) {
-    out << ", \"llvm_version\": \"" << analysis.llvm_version
-        << "\", \"check_count\": " << analysis.check_count;
-  }
-  out << "}";
   out << ",\n  \"entries\": [\n";
   for (std::size_t i = 0; i < entries.size(); ++i) {
     out << "    {\"name\": \"" << entries[i].name
@@ -372,8 +317,6 @@ int main(int argc, char** argv) {
       cfg.threads = std::max(1, std::atoi(arg.substr(10).c_str()));
     } else if (arg.rfind("--reps=", 0) == 0) {
       cfg.reps = std::max(1, std::atoi(arg.substr(7).c_str()));
-    } else if (arg.rfind("--analysis-status=", 0) == 0) {
-      cfg.analysis_status_path = arg.substr(18);
     } else if (arg == "--quick") {
       cfg.quick = true;
       cfg.reps = std::min(cfg.reps, 2);

@@ -82,6 +82,7 @@ struct ScanTally {
     // happened-before these reads.
     counters::add_distance_evals(evals.load(std::memory_order_relaxed), dim);
     counters::add_pruned_pairs(pruned.load(std::memory_order_relaxed));
+    // Relaxed: the same join orders the chunk that stored the stop.
     const auto reason =
         static_cast<exec::StopReason>(stop.load(std::memory_order_relaxed));
     if (reason != exec::StopReason::None) {

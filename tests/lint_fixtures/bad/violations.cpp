@@ -1,11 +1,16 @@
-// Fixture: one deliberate violation per line-grade lint rule. Each
-// `expect:` marker names a rule that kc_lint --self-test asserts fires
-// for this file (and no others may).
+// Fixture: deliberate violations of the line-grade lint rules. Each
+// `expect:` marker stands for exactly one finding that kc_lint
+// --self-test asserts for this file; no other finding may appear. The
+// self-test lints it as if it lived in src/harness/: a report-emitting
+// directory outside src/geom/.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <random>
-#include <unordered_map>
+#include <unordered_map>  // expect: unordered-iter
+
+#include "compat/thread_safety.hpp"
+#include "geom/kernels.hpp"
 
 namespace fixture {
 
@@ -15,20 +20,58 @@ inline unsigned ambient_seed() { return std::random_device{}(); }
 // expect: wallclock
 inline auto wall_now() { return std::chrono::system_clock::now(); }
 
-// Retired rules stay retired: an unordered container and a bare
-// relaxed order draw no regex finding anymore (the clang-tidy plugin
-// owns both contracts now) — no expect markers here, and the
-// self-test's surplus check holds kc_lint to that.
+// Iterating a hash container in a report TU leaks hash order into the
+// report bytes.
+// expect: unordered-iter
 inline std::unordered_map<int, int> scratch_index;
+
+// Weak orders without a rationale, in both spellings. Each marker sits
+// below its load: a comment in the three lines above would count as the
+// rationale.
 inline int bare_relaxed(const std::atomic<int>& v) {
   int pad = 0;
   pad += 1;
   (void)pad;
   return v.load(std::memory_order_relaxed);
 }
+// expect: memory-order
 
-// A waiver with no reason is itself a finding.
+inline int bare_acquire(const std::atomic<int>& v) {
+  int pad = 0;
+  pad += 1;
+  (void)pad;
+  return v.load(std::memory_order::acquire);
+}
+// expect: memory-order
+
+// An analysis opt-out with no written reason; its marker sits below it
+// for the same reason.
+struct OptedOut {
+  int value = 0;
+  int pad = 0;
+  void reset() KC_NO_THREAD_SAFETY_ANALYSIS { value = 0; }
+};
+// expect: tsa-optout
+
+// Kernel tables reached from outside src/geom/: both accessors and a
+// KernelTable use. A scan made this way skips DistanceOracle's budget,
+// cancellation and pruning gates.
+inline double sneak_distance(const double* a, const double* b,
+                             std::size_t dim) {
+  // expect: raw-kernel
+  const auto& table = kc::simd::active_kernels();
+  return table.pair[0](a, b, dim);
+}
+
+// expect: raw-kernel
+inline const kc::simd::KernelTable* sneak_table() {
+  // expect: raw-kernel
+  return kc::simd::kernels_for(kc::simd::IsaLevel::Scalar);
+}
+
+// A waiver with no reason is itself a finding, and suppresses nothing.
 // expect: waiver
+// expect: entropy
 inline auto bare_waiver() {
   return std::rand();  // kc-lint: allow(entropy)
 }
@@ -41,8 +84,10 @@ inline auto stale_waiver() {
   return std::chrono::system_clock::now();  // kc-lint: allow(wallclock, until=PR3) bring-up shim
 }
 
-// An unknown keyword term is a malformed waiver.
+// An unknown keyword term is a malformed waiver, which suppresses
+// nothing either.
 // expect: waiver
+// expect: entropy
 inline auto typoed_waiver() {
   return std::rand();  // kc-lint: allow(entropy, till=PR99) reads seed file
 }

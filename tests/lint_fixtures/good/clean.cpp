@@ -6,6 +6,9 @@
 #include <map>
 #include <vector>
 
+#include "compat/thread_safety.hpp"
+#include "geom/distance.hpp"
+
 namespace fixture {
 
 // steady_clock is the sanctioned time source.
@@ -14,7 +17,8 @@ inline double elapsed(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-// Ordered container in a report TU: fine, iteration order is defined.
+// Ordered container in a report TU: fine, iteration order is defined
+// (a std::unordered_map named in a comment is no use of one).
 inline int sum(const std::map<int, int>& m) {
   int total = 0;
   for (const auto& [k, v] : m) total += v;
@@ -35,6 +39,30 @@ inline void post_nonempty_hint(std::atomic<bool>& hint) {
   // actual items, a stale read only delays one poll.
   hint.store(true, std::memory_order_relaxed);
 }
+
+// The C++20 spelling with its rationale, and seq_cst, which needs none.
+inline void publish(std::atomic<int>& ready, int value) {
+  // Release: pairs with the reader's acquire load of the same flag.
+  ready.store(value, std::memory_order::release);
+  ready.fetch_add(1, std::memory_order_seq_cst);
+}
+
+// An analysis opt-out with its reason in range.
+struct ReasonedOptOut {
+  int value = 0;
+  // Teardown runs after every worker joined; nothing else can hold a
+  // reference.
+  void reset() KC_NO_THREAD_SAFETY_ANALYSIS { value = 0; }
+};
+
+// Distance work routed through the oracle, which applies the budget,
+// cancellation and pruning gates. Naming the KernelTable in a comment,
+// or kernels_for() in a string, reaches no kernel.
+inline double oracle_distance(const kc::DistanceOracle& oracle,
+                              kc::index_t a, kc::index_t b) {
+  return oracle.distance(a, b);
+}
+inline const char* kernel_note() { return "scans never call kernels_for()"; }
 
 // A waived wall-clock use, with a written reason.
 inline long log_stamp() {

@@ -1,10 +1,9 @@
-// kc-lock-order bad fixture: two methods of one class acquire the same
-// pair of mutexes in opposite orders — the classic ABBA deadlock. The
-// clang-tidy check pairs the inverted edges inside this TU; the Python
-// extractor (lock_graph.py selftest) derives the same two edges and
-// must report a cycle in the merged graph.
+// Lock-order bad fixture: two methods of one class acquire the same
+// pair of mutexes in opposite orders — the classic ABBA deadlock.
+// `lock_graph.py selftest` derives the two inverted edges and must
+// report a cycle.
 //
-// Hermetic mocks: the checks match qualified names, not headers.
+// Hermetic mocks: the extractor matches the guard spellings, not headers.
 namespace kc::compat {
 class Mutex {
  public:
@@ -39,7 +38,7 @@ void Account::debit() {
 
 void Account::credit() {
   compat::LockGuard audit(audit_);
-  compat::LockGuard ledger(ledger_);  // expect: kc-lock-order
+  compat::LockGuard ledger(ledger_);  // closes the cycle
   balance_ += 1;
 }
 

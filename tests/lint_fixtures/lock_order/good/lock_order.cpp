@@ -1,8 +1,8 @@
-// kc-lock-order good fixture: both methods acquire ledger_ before
-// audit_, so the TU contributes one consistent edge and neither the
-// plugin nor the Python extractor may report anything. Also exercises
-// the mid-scope unlock: releasing the outer guard before taking the
-// second mutex contributes no edge at all.
+// Lock-order good fixture: both methods acquire ledger_ before audit_,
+// so the TU contributes one consistent edge and `lock_graph.py
+// selftest` must find no cycle. Also exercises the mid-scope unlock:
+// releasing the outer guard before taking the second mutex contributes
+// no edge at all.
 namespace kc::compat {
 class Mutex {
  public:

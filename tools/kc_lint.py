@@ -19,6 +19,19 @@ Rules (each can be waived per-line, with a written reason):
                  and high_resolution_clock (unspecified alias) are
                  banned in src/. steady_clock and the thread CPU clock
                  (exec/cpu_clock.hpp) are the sanctioned time sources.
+  unordered-iter std::unordered_* containers are banned in TUs that
+                 emit report/trace bytes (harness/, svc/, mapreduce/,
+                 api/, cli/): iteration order is hash-seed dependent
+                 and would leak into the byte-identity surface.
+  memory-order   every non-seq_cst atomic order (memory_order_relaxed
+                 or memory_order::relaxed, and likewise acquire,
+                 release, acq_rel, consume) must carry a rationale
+                 comment (same line or within the three lines above)
+                 saying why the weaker order is sound.
+  raw-kernel     KernelTable, active_kernels( and kernels_for( are
+                 banned outside src/geom/: a scan that calls the kernel
+                 tables directly bypasses DistanceOracle's budget,
+                 cancellation and pruning gates.
   fp-contract    every compile command carrying an ISA flag (-mavx2 /
                  -mavx512f) must also carry -ffp-contract=off, so SIMD
                  kernels cannot FMA-contract away from the scalar
@@ -32,13 +45,10 @@ Rules (each can be waived per-line, with a written reason):
   waiver-expired an expiring waiver whose PR deadline has passed; the
                  debt comes due, fix the code or re-justify.
 
-Two former rules — `memory-order` (rationale comments on weakened
-atomic orders) and `unordered-iter` (hash containers in report TUs) —
-are retired here and enforced AST-accurately by the clang-tidy plugin
-(tools/analysis: kc-atomic-rationale, kc-unordered-emit). The regex
-versions missed aliased orders and helpers one call from a sink, and
-double-reporting the same contract from two tools teaches people to
-ignore one of them.
+The rules match tokens, not types: an order hidden behind an alias, or
+an unordered container iterated one call away from a report sink, goes
+unseen. Lock ordering is not a lint rule; tools/lock_graph.py gates it
+(ctest: kc_lock_order_graph).
 
 Waiver grammar (the reason is mandatory; a bare waiver is itself an
 error). A waiver may carry an expiry PR; once CHANGES.md says the repo
@@ -62,6 +72,7 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 # --------------------------------------------------------------- findings
@@ -177,6 +188,21 @@ WALLCLOCK_RE = re.compile(
     r"|\btime\s*\(\s*(?:nullptr|NULL|0)\s*\)"
 )
 
+UNORDERED_RE = re.compile(r"std::unordered_\w+|#include\s*<unordered_")
+# TUs whose bytes reach a report, trace, response or table. harness/
+# renders tables and plots, svc/ encodes responses, mapreduce/ carries
+# the JobTrace, api/ fills SolveReport, cli/ prints all of the above.
+REPORT_DIRS = ("src/harness/", "src/svc/", "src/mapreduce/", "src/api/",
+               "src/cli/")
+
+MEMORY_ORDER_RE = re.compile(
+    r"memory_order(?:_|::)(?:relaxed|acquire|release|acq_rel|consume)"
+)
+
+RAW_KERNEL_RE = re.compile(
+    r"\bKernelTable\b|\bactive_kernels\s*\(|\bkernels_for\s*\(")
+KERNEL_HOME = "src/geom/"
+
 TSA_OPTOUT_RE = re.compile(r"KC_NO_THREAD_SAFETY_ANALYSIS")
 
 
@@ -232,6 +258,31 @@ def lint_lines(path: Path, rel: str, text: str, findings: list[Finding],
             report(i, "wallclock",
                    f"wall-clock source '{m.group(0).strip()}'; use "
                    "steady_clock or exec/cpu_clock.hpp")
+
+        m = UNORDERED_RE.search(line)
+        if m and not is_comment_or_string(line, m.start()):
+            if any(rel.startswith(p) for p in REPORT_DIRS):
+                report(i, "unordered-iter",
+                       "unordered container in a report/trace-emitting TU; "
+                       "iteration order would leak hash order into report "
+                       "bytes — use a sorted or insertion-ordered container")
+
+        m = MEMORY_ORDER_RE.search(line)
+        if m and not is_comment_or_string(line, m.start()):
+            if not has_nearby_comment(lines, i - 1):
+                report(i, "memory-order",
+                       f"'{m.group(0)}' without a rationale comment; say "
+                       "why the weaker ordering is sound (same line or the "
+                       "3 lines above)")
+
+        m = RAW_KERNEL_RE.search(line)
+        if m and not is_comment_or_string(line, m.start()):
+            if not rel.startswith(KERNEL_HOME):
+                report(i, "raw-kernel",
+                       f"raw kernel-table access '{m.group(0).strip()}' "
+                       "outside src/geom/; route the scan through "
+                       "DistanceOracle, which applies the budget, "
+                       "cancellation and pruning gates")
 
         m = TSA_OPTOUT_RE.search(line)
         if m and not is_comment_or_string(line, m.start()) and \
@@ -349,9 +400,25 @@ def lint_tree(src_root: Path, repo_root: Path,
 EXPECT_RE = re.compile(r"//\s*expect:\s*([\w\-]+)")
 
 
+def lint_fixture(path: Path, text: str,
+                 current_pr: int | None) -> list[Finding]:
+    """Lints a source fixture as if it lived in src/harness/, the
+    strictest spot (a report-emitting directory outside src/geom/). A
+    .json fixture is a compilation database for the flag audit."""
+    findings: list[Finding] = []
+    if path.suffix == ".json":
+        lint_compile_commands(path, findings)
+        return findings
+    lint_lines(path, "src/harness/" + path.name, text, findings, current_pr)
+    if path.suffix == ".hpp":
+        lint_guarded_by(path, text, findings)
+    return findings
+
+
 def self_test(fixtures: Path, repo_root: Path) -> int:
     """good/ fixtures must lint clean; each bad/ fixture must produce
-    exactly the rule set its `// expect: <rule>` markers declare."""
+    exactly one finding per `// expect: <rule>` marker it carries, so
+    every case in a fixture is asserted, not just its rule's first."""
     failures = 0
     good = sorted((fixtures / "good").glob("*"))
     bad = sorted((fixtures / "bad").glob("*"))
@@ -373,41 +440,22 @@ def self_test(fixtures: Path, repo_root: Path) -> int:
         print(f"FAIL (ledger with gaps): read PR{pr_from_ledger(gapped)}, "
               "want PR8", file=sys.stderr)
         failures += 1
-    for path in good:
-        if path.suffix not in (".cpp", ".hpp"):
-            continue
-        findings: list[Finding] = []
-        text = path.read_text()
-        # Good fixtures are linted as if they lived in the strictest
-        # spot: a report-emitting directory.
-        lint_lines(path, "src/harness/" + path.name, text, findings,
-                   current_pr)
-        if path.suffix == ".hpp":
-            lint_guarded_by(path, text, findings)
-        for f in findings:
-            print(f"FAIL (good fixture flagged): {f}", file=sys.stderr)
-            failures += 1
-    for path in bad:
-        if path.suffix not in (".cpp", ".hpp"):
+    for path in good + bad:
+        if path.suffix not in (".cpp", ".hpp", ".json"):
             continue
         text = path.read_text()
-        expected = sorted(EXPECT_RE.findall(text))
-        findings = []
-        lint_lines(path, "src/harness/" + path.name, text, findings,
-                   current_pr)
-        if path.suffix == ".hpp":
-            lint_guarded_by(path, text, findings)
-        got = sorted({f.rule for f in findings})
-        missing = [r for r in expected if r not in got]
-        surplus = [r for r in got if r not in expected]
-        for rule in missing:
-            print(f"FAIL (expected rule not fired): {path}: {rule}",
-                  file=sys.stderr)
-            failures += 1
-        for rule in surplus:
+        expected = Counter(EXPECT_RE.findall(text)) if path in bad \
+            else Counter()
+        findings = lint_fixture(path, text, current_pr)
+        got = Counter(f.rule for f in findings)
+        for rule in sorted(expected.keys() | got.keys()):
+            if got[rule] == expected[rule]:
+                continue
+            print(f"FAIL: {path}: [{rule}] {got[rule]} finding(s), "
+                  f"{expected[rule]} expected", file=sys.stderr)
             for f in findings:
                 if f.rule == rule:
-                    print(f"FAIL (unexpected finding): {f}", file=sys.stderr)
+                    print(f"  {f}", file=sys.stderr)
             failures += 1
     if failures == 0:
         print(f"kc_lint --self-test: {len(good) + len(bad)} fixtures OK")

@@ -1,40 +1,31 @@
 #!/usr/bin/env python3
-"""lock_graph: the cross-TU half of the kc-lock-order analysis.
+"""lock_graph: the repo's lock-order deadlock gate.
 
 Deadlock by lock-order inversion is a *global* property: TU A may only
 ever take `state_mutex_` then `deadline_mutex_`, TU B only the reverse,
-and no per-TU analysis (Clang TSA included) can see the conflict. The
-kc-lock-order clang-tidy check (tools/analysis/checks/LockOrderCheck)
-therefore only *emits facts* — which mutexes are held when another is
-acquired, which functions acquire what, which calls happen under a
-lock — one YAML file per translation unit. This tool is phase two: it
-unions the facts into a global lock-order graph, closes the graph over
-the call facts (an edge A -> B also exists when a function is called
-with A held and that function, transitively, may acquire B), detects
-cycles, and renders the graph as DOT for the CI artifact.
+and no per-TU analysis (Clang TSA included) can see the conflict. This
+tool reads the sources of the concurrent core and derives, per
+function, which mutexes are held when another is acquired and which
+calls happen under a lock. It understands the repo's locking idiom
+(compat::LockGuard / compat::MutexLock guards, KC_REQUIRES on the
+definition, MutexLock::unlock() mid-scope) and nothing else; it
+follows unqualified and this-> calls only, not calls through another
+object (resolving the receiver's type needs a compiler). It joins
+those facts into one lock-order graph, closes the graph over the call
+facts (an edge A -> B also exists when a function is called with A held
+and that function, transitively, may acquire B), fails on any cycle
+within or across TUs, and renders the graph as DOT.
 
-The same facts schema can be produced without a compiler: `extract`
-derives facts from the sources directly with a brace-scope heuristic
-over the repo's disciplined locking idiom (compat::LockGuard /
-compat::MutexLock guards, KC_REQUIRES annotations). That keeps the
-cycle gate running as a plain ctest entry on toolchains without clang
-dev headers; when the plugin is available its AST-grounded facts take
-precedence (macros, typedefs and out-of-line definitions resolved for
-real).
-
-Facts schema (a deliberately flat YAML subset; parsed here without
-PyYAML so the tool runs on a bare python3):
-
-    tu: src/svc/service.cpp
-    acquisitions:
-      - {function: "ServiceLoop::run", mutex: "ServiceLoop::state_mutex_", held: "A|B", line: 217}
-    calls:
-      - {function: "ServiceLoop::run", callee: "BoundedQueue::pop", held: "A", line: 230}
+Subcommands:
+    gate      build the graph over --src, write --dot, exit 1 on a cycle
+              (ctest: kc_lock_order_graph)
+    selftest  the fixtures under --corpus: each bad/ case must cycle on
+              its own, good/ must not (ctest: kc_lock_order_corpus_selftest)
 
 Usage:
-    lock_graph.py extract --src src/svc src/exec src/fault --out build/lock_facts
-    lock_graph.py merge --facts build/lock_facts --dot lock_order.dot
-    lock_graph.py selftest --corpus tests/lint_fixtures/plugin
+    lock_graph.py gate --src src/svc src/exec src/fault --repo-root . \
+        --dot build/lock_order.dot
+    lock_graph.py selftest --corpus tests/lint_fixtures/lock_order
 """
 
 from __future__ import annotations
@@ -46,27 +37,22 @@ from pathlib import Path
 
 # ------------------------------------------------------------------ facts
 
-ITEM_RE = re.compile(r"\{([^}]*)\}")
-FIELD_RE = re.compile(r"(\w+):\s*(?:\"([^\"]*)\"|(\d+))")
-
 
 class Acquisition:
     def __init__(self, function: str, mutex: str, held: list[str],
-                 tu: str, line: int):
+                 line: int):
         self.function = function
         self.mutex = mutex
         self.held = held
-        self.tu = tu
         self.line = line
 
 
 class Call:
     def __init__(self, function: str, callee: str, held: list[str],
-                 tu: str, line: int):
+                 line: int):
         self.function = function
         self.callee = callee
         self.held = held
-        self.tu = tu
         self.line = line
 
 
@@ -75,60 +61,13 @@ class Facts:
         self.acquisitions: list[Acquisition] = []
         self.calls: list[Call] = []
 
-    def dump(self, tu: str) -> str:
-        out = [f"tu: {tu}", "acquisitions:"]
-        for a in self.acquisitions:
-            held = "|".join(a.held)
-            out.append(f'  - {{function: "{a.function}", mutex: "{a.mutex}",'
-                       f' held: "{held}", line: {a.line}}}')
-        out.append("calls:")
-        for c in self.calls:
-            held = "|".join(c.held)
-            out.append(f'  - {{function: "{c.function}", callee: "{c.callee}",'
-                       f' held: "{held}", line: {c.line}}}')
-        return "\n".join(out) + "\n"
 
-
-def parse_facts(text: str) -> Facts:
-    facts = Facts()
-    tu = "?"
-    section = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("tu:"):
-            tu = line[3:].strip()
-            continue
-        if line.startswith("acquisitions:"):
-            section = "acq"
-            continue
-        if line.startswith("calls:"):
-            section = "call"
-            continue
-        m = ITEM_RE.search(line)
-        if not m or section is None:
-            continue
-        fields = {k: s or n for k, s, n in FIELD_RE.findall(m.group(1))}
-        held = [h for h in fields.get("held", "").split("|") if h]
-        lineno = int(fields.get("line", "0"))
-        if section == "acq":
-            facts.acquisitions.append(Acquisition(
-                fields.get("function", "?"), fields.get("mutex", "?"),
-                held, tu, lineno))
-        else:
-            facts.calls.append(Call(
-                fields.get("function", "?"), fields.get("callee", "?"),
-                held, tu, lineno))
-    return facts
-
-
-# ------------------------------------------------- heuristic fact extract
+# ------------------------------------------------------- fact extraction
 #
-# The fallback frontend. It understands exactly the locking idiom the
-# repo enforces elsewhere (one guard declaration per line, mutex
-# members named in the declaration, KC_REQUIRES on the definition) and
-# is deliberately dumb about everything else. The clang-tidy check is
-# the ground truth; this exists so the cycle gate never goes dark on
-# gcc-only hosts.
+# Understands exactly the locking idiom the repo enforces elsewhere (one
+# guard declaration per line, mutex members named in the declaration,
+# KC_REQUIRES on the definition) and is deliberately dumb about
+# everything else.
 
 GUARD_RE = re.compile(
     r"\bcompat::(?:LockGuard|MutexLock)\s+(\w+)\s*[({]\s*([\w.&>\[\]\-]+(?:\(\))?)\s*[)}]")
@@ -140,7 +79,6 @@ MUTEX_DECL_RE = re.compile(r"(?:kc::)?compat::Mutex\s+(\w+)\s*;")
 # the joined declaration line once its opening brace arrives.
 FUNC_NAME_RE = re.compile(r"([\w~]+(?:::[\w~]+)*)\s*\($")
 UNLOCK_RE = re.compile(r"\b(\w+)\.unlock\(\)")
-RELOCK_RE = re.compile(r"\b(\w+)\.lock\(\)")
 
 
 def strip_comments(text: str) -> str:
@@ -261,7 +199,7 @@ class MutexIndex:
         return f"{owners[0][0]}::{name}"
 
 
-def extract_file(path: Path, rel: str, index: MutexIndex,
+def extract_file(path: Path, index: MutexIndex,
                  acquirer_names: set[str] | None) -> Facts:
     """One file's facts, via brace-scope tracking of guard lifetimes."""
     facts = Facts()
@@ -310,7 +248,7 @@ def extract_file(path: Path, rel: str, index: MutexIndex,
             if gm:
                 mutex = index.canonical(gm.group(2), path.stem)
                 facts.acquisitions.append(Acquisition(
-                    func, mutex, sorted({h for h, _, _ in held}), rel, lineno))
+                    func, mutex, sorted({h for h, _, _ in held}), lineno))
                 held.append((mutex, gm.group(1), depth + code.count("{")))
             else:
                 # MutexLock mid-scope unlock ends the hold early; the
@@ -324,7 +262,7 @@ def extract_file(path: Path, rel: str, index: MutexIndex,
                 # this-> calls — a call through some other object
                 # (x.wait(), items_.size()) shares only a method *name*
                 # with an acquirer, and resolving the receiver's type
-                # is exactly what the AST check exists for.
+                # needs a compiler.
                 if held and acquirer_names:
                     for cm in re.finditer(r"([A-Za-z_]\w*)\s*\(", code):
                         callee = cm.group(1)
@@ -336,7 +274,7 @@ def extract_file(path: Path, rel: str, index: MutexIndex,
                                 callee != func.split("::")[-1]:
                             facts.calls.append(Call(
                                 func, callee, sorted({h for h, _, _ in held}),
-                                rel, lineno))
+                                lineno))
 
         opens = line.count("{")
         closes = line.count("}")
@@ -364,32 +302,25 @@ def cxx_files(roots: list[Path]) -> list[Path]:
 def extract_tree(roots: list[Path], repo_root: Path) -> dict[str, Facts]:
     files = cxx_files(roots)
     index = MutexIndex()
-    texts: dict[Path, str] = {}
     for path in files:
-        text = strip_comments(
-            path.read_text(encoding="utf-8", errors="replace"))
-        texts[path] = text
-        index.scan(path, text)
+        index.scan(path, strip_comments(
+            path.read_text(encoding="utf-8", errors="replace")))
 
     # Pass 1.5: which unqualified function names acquire a guard in
     # their body? Used to emit call facts only where they can matter.
-    # Names defined more than once stay indexed (the merge unions the
+    # Names defined more than once stay indexed (build_graph unions the
     # may-acquire sets, over-approximating — safe for a cycle gate on a
     # tree whose method names are distinct per class).
     acquirer_names: set[str] = set()
-    prelim: dict[Path, Facts] = {}
     for path in files:
-        rel = path.relative_to(repo_root).as_posix() if path.is_relative_to(
-            repo_root) else path.as_posix()
-        prelim[path] = extract_file(path, rel, index, None)
-        for a in prelim[path].acquisitions:
+        for a in extract_file(path, index, None).acquisitions:
             acquirer_names.add(a.function.split("::")[-1])
 
     out: dict[str, Facts] = {}
     for path in files:
         rel = path.relative_to(repo_root).as_posix() if path.is_relative_to(
             repo_root) else path.as_posix()
-        out[rel] = extract_file(path, rel, index, acquirer_names)
+        out[rel] = extract_file(path, index, acquirer_names)
     return out
 
 
@@ -506,61 +437,9 @@ def build_graph(all_facts: dict[str, Facts]) -> Graph:
 # ---------------------------------------------------------------- drivers
 
 
-def cmd_extract(args) -> int:
-    repo_root = Path(args.repo_root).resolve()
-    roots = [Path(r).resolve() for r in args.src]
-    all_facts = extract_tree(roots, repo_root)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for rel, facts in sorted(all_facts.items()):
-        if not facts.acquisitions and not facts.calls:
-            continue
-        name = rel.replace("/", "__").replace(".", "_") + ".yaml"
-        (out_dir / name).write_text(facts.dump(rel))
-        count += 1
-    print(f"lock_graph extract: {count} fact file(s) -> {out_dir}")
-    return 0
-
-
-def load_facts_dir(facts_dir: Path) -> dict[str, Facts]:
-    out: dict[str, Facts] = {}
-    for path in sorted(facts_dir.glob("*.yaml")):
-        facts = parse_facts(path.read_text())
-        tu = facts.acquisitions[0].tu if facts.acquisitions else (
-            facts.calls[0].tu if facts.calls else path.stem)
-        out[tu] = facts
-    return out
-
-
-def cmd_merge(args) -> int:
-    facts_dir = Path(args.facts)
-    if not facts_dir.is_dir():
-        print(f"lock_graph merge: no facts directory {facts_dir}",
-              file=sys.stderr)
-        return 2
-    all_facts = load_facts_dir(facts_dir)
-    graph = build_graph(all_facts)
-    if args.dot:
-        Path(args.dot).write_text(graph.dot("kc lock order"))
-    cycles = graph.cycles()
-    print(f"lock_graph merge: {len(all_facts)} TU(s), "
-          f"{len(graph.nodes)} lock(s), {len(graph.edges)} edge(s)")
-    for (a, b), witness in sorted(graph.edges.items()):
-        print(f"  {a} -> {b}   [{witness}]")
-    if cycles:
-        print(f"lock_graph: {len(cycles)} lock-order cycle(s) "
-              "(potential deadlock):", file=sys.stderr)
-        for cyc in cycles:
-            print("  " + " -> ".join(cyc), file=sys.stderr)
-        return 1
-    print("lock_graph: cycle-free")
-    return 0
-
-
 def cmd_gate(args) -> int:
-    """extract + merge in one shot, for the ctest entry: no facts
-    directory to manage, exit 1 on any cycle."""
+    """Extracts facts over --src, builds the graph, writes --dot, and
+    exits 1 on any cycle."""
     repo_root = Path(args.repo_root).resolve()
     roots = [Path(r).resolve() for r in args.src]
     all_facts = {tu: facts for tu, facts in
@@ -585,31 +464,30 @@ def cmd_gate(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """The lock-order corpus must behave: bad fixture has a cycle, good
-    fixture does not. Runs the heuristic frontend, so it works on any
-    host; the clang-tidy plugin job re-asserts the same corpus with AST
-    facts when available."""
+    """The lock-order corpus must behave: each case under bad/ (one
+    file, or a directory of TUs that cycle only together) has a cycle
+    on its own, and everything under good/ together has none."""
     corpus = Path(args.corpus)
-    bad = sorted((corpus / "bad").glob("lock_order*"))
-    good = sorted((corpus / "good").glob("lock_order*"))
-    if not bad or not good:
+    bad_cases = sorted((corpus / "bad").glob("*"))
+    good = cxx_files([corpus / "good"])
+    if not bad_cases or not good:
         print(f"lock_graph selftest: no lock_order fixtures in {corpus}",
               file=sys.stderr)
         return 1
+    runs = [(f"bad/{case.name}", cxx_files([case]), True)
+            for case in bad_cases] + [("good/", good, False)]
     failures = 0
-    for paths, want_cycle in ((bad, True), (good, False)):
-        facts = extract_tree([p for p in paths], corpus)
-        graph = build_graph(facts)
+    for label, paths, want_cycle in runs:
+        graph = build_graph(extract_tree(paths, corpus))
         cycles = graph.cycles()
-        label = "bad" if want_cycle else "good"
         if bool(cycles) != want_cycle:
-            print(f"FAIL: {label} lock_order fixtures: cycle={bool(cycles)} "
-                  f"want {want_cycle}", file=sys.stderr)
+            print(f"FAIL: {label}: cycle={bool(cycles)} want {want_cycle}",
+                  file=sys.stderr)
             for (a, b), w in sorted(graph.edges.items()):
                 print(f"    {a} -> {b} [{w}]", file=sys.stderr)
             failures += 1
     if failures == 0:
-        print(f"lock_graph selftest: {len(bad) + len(good)} fixture(s) OK")
+        print(f"lock_graph selftest: {len(runs)} case(s) OK")
     return 1 if failures else 0
 
 
@@ -617,18 +495,7 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("extract", help="derive facts without a compiler")
-    p.add_argument("--src", nargs="+", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--repo-root", default=".")
-    p.set_defaults(fn=cmd_extract)
-
-    p = sub.add_parser("merge", help="union facts, detect cycles, emit DOT")
-    p.add_argument("--facts", required=True)
-    p.add_argument("--dot", default=None)
-    p.set_defaults(fn=cmd_merge)
-
-    p = sub.add_parser("gate", help="extract + merge + fail on cycle")
+    p = sub.add_parser("gate", help="build the graph, fail on a cycle")
     p.add_argument("--src", nargs="+", required=True)
     p.add_argument("--repo-root", default=".")
     p.add_argument("--dot", default=None)
