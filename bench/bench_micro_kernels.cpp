@@ -3,8 +3,8 @@
 // Two halves:
 //
 //   1. A self-timed kernel matrix (no external deps): scalar vs AVX2 vs
-//      AVX-512 vs NEON across {contiguous, gather} x {single-center,
-//      center-blocked} x shapes, plus the tiled pairwise engine vs the
+//      AVX-512 vs NEON across {contiguous, gather} x {one center, a
+//      block of centers} x shapes, plus the tiled pairwise engine vs the
 //      per-pair path it replaced, reported as ns/pair and written to a
 //      machine-readable BENCH_kernels.json so the perf trajectory is
 //      tracked across PRs. This is what CI runs.
@@ -92,47 +92,13 @@ struct MatrixConfig {
   int inner = 8;  ///< kernel calls per timed region (amortizes clock reads)
 };
 
-/// One update_nearest shape for one table; rotates the center each call
-/// so best[] keeps seeing occasional improvements (the steady state of
-/// a GON sweep) rather than a fully-converged array.
-Cell run_nearest_cell(const KernelTable& table, kc::MetricKind metric,
-                      std::size_t dim, bool contig, const MatrixConfig& cfg) {
-  const kc::PointSet ps = make_points(cfg.n, dim, /*seed=*/dim * 7 + 1);
-  const auto m = static_cast<std::size_t>(metric);
-  std::vector<kc::index_t> ids(cfg.n);
-  kc::Rng rng(99);
-  for (std::size_t i = 0; i < cfg.n; ++i) {
-    // Gather layout: a shuffled-ish id stream (random ids, duplicates
-    // allowed) — the pattern EIM's pruned R sets produce.
-    ids[i] = contig ? static_cast<kc::index_t>(i)
-                    : static_cast<kc::index_t>(rng.uniform_int(cfg.n));
-  }
-  std::vector<double> best(cfg.n, kc::kInfDist);
-  // Rotate the center so best[] keeps seeing occasional improvements,
-  // clamped to the point count for small --n runs.
-  const std::size_t rot = std::min<std::size_t>(cfg.n, 64);
-  std::size_t center = 0;
-  const auto body = [&] {
-    for (int it = 0; it < cfg.inner; ++it) {
-      const double* c = ps.data(static_cast<kc::index_t>(center));
-      center = (center + 1) % rot;
-      if (contig) {
-        table.nearest_contig[m](ps.raw().data(), dim, cfg.n, c, best.data());
-      } else {
-        table.nearest_gather[m](ps.raw().data(), dim, ids.data(), cfg.n, c,
-                                best.data());
-      }
-    }
-  };
-  const double ns = time_ns_per_pair(
-      cfg.n * static_cast<std::size_t>(cfg.inner), cfg.reps, body);
-  return {table.name,  "update_nearest", contig ? "contig" : "gather",
-          std::string(kc::to_string(metric)), dim, 1, ns};
-}
-
-/// Center-blocked multi shape: `centers` centers folded per pass (the
-/// EIM select-round batch shape). With ncenters=1 this degenerates to
-/// update_nearest, so comparing cells quantifies the blocking win.
+/// One nearest-center kernel shape for one table: `ncenters` centers
+/// folded per pass over the points, 1 for a Gonzalez sweep (labelled
+/// update_nearest) or a block for an EIM select round (labelled
+/// update_nearest_multi), so comparing the two quantifies the blocking
+/// win. The centers rotate each call, so best[] keeps seeing occasional
+/// improvements (the steady state of a GON sweep) rather than a
+/// fully-converged array.
 Cell run_multi_cell(const KernelTable& table, kc::MetricKind metric,
                     std::size_t dim, std::size_t ncenters, bool contig,
                     const MatrixConfig& cfg) {
@@ -141,10 +107,13 @@ Cell run_multi_cell(const KernelTable& table, kc::MetricKind metric,
   std::vector<kc::index_t> ids(cfg.n);
   kc::Rng rng(17);
   for (std::size_t i = 0; i < cfg.n; ++i) {
+    // Gather layout: a shuffled-ish id stream (random ids, duplicates
+    // allowed) — the pattern EIM's pruned R sets produce.
     ids[i] = contig ? static_cast<kc::index_t>(i)
                     : static_cast<kc::index_t>(rng.uniform_int(cfg.n));
   }
   std::vector<double> best(cfg.n, kc::kInfDist);
+  // Clamped to the point count for small --n runs.
   const std::size_t rot = std::min<std::size_t>(cfg.n, 128);
   std::size_t base = 0;
   const auto body = [&] {
@@ -165,8 +134,13 @@ Cell run_multi_cell(const KernelTable& table, kc::MetricKind metric,
   };
   const double ns = time_ns_per_pair(
       cfg.n * ncenters * static_cast<std::size_t>(cfg.inner), cfg.reps, body);
-  return {table.name, "update_nearest_multi", contig ? "contig" : "gather",
-          std::string(kc::to_string(metric)), dim, ncenters, ns};
+  return {table.name,
+          ncenters == 1 ? "update_nearest" : "update_nearest_multi",
+          contig ? "contig" : "gather",
+          std::string(kc::to_string(metric)),
+          dim,
+          ncenters,
+          ns};
 }
 
 /// Tiled pairwise kernel vs the per-pair path it replaced. Both fill
@@ -333,18 +307,17 @@ std::vector<Cell> run_matrix(const MatrixConfig& cfg) {
     for (const std::size_t dim : {std::size_t{2}, std::size_t{3},
                                   std::size_t{8}}) {
       cells.push_back(
-          run_nearest_cell(*table, kc::MetricKind::L2, dim, true, cfg));
+          run_multi_cell(*table, kc::MetricKind::L2, dim, 1, true, cfg));
       cells.push_back(
-          run_nearest_cell(*table, kc::MetricKind::L2, dim, false, cfg));
+          run_multi_cell(*table, kc::MetricKind::L2, dim, 1, false, cfg));
     }
     cells.push_back(
-        run_nearest_cell(*table, kc::MetricKind::L1, 2, true, cfg));
+        run_multi_cell(*table, kc::MetricKind::L1, 2, 1, true, cfg));
     cells.push_back(
-        run_nearest_cell(*table, kc::MetricKind::Linf, 2, true, cfg));
-    // blocked-vs-passes: 1 center (passes baseline) vs a full block.
+        run_multi_cell(*table, kc::MetricKind::Linf, 2, 1, true, cfg));
+    // Blocked: a full block of centers per pass, against the one-center
+    // cells above.
     for (const bool contig : {true, false}) {
-      cells.push_back(run_multi_cell(*table, kc::MetricKind::L2, 2, 1, contig,
-                                     cfg));
       cells.push_back(run_multi_cell(*table, kc::MetricKind::L2, 2,
                                      kc::simd::kCenterBlock, contig, cfg));
     }

@@ -55,7 +55,6 @@
 #include "exec/scheduler.hpp"
 #include "geom/counters.hpp"
 #include "geom/distance.hpp"
-#include "geom/parallel.hpp"
 #include "geom/point_set.hpp"
 #include "mapreduce/cluster.hpp"
 #include "mapreduce/partition.hpp"

@@ -5,9 +5,10 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "exec/backend.hpp"
 #include "exec/chunk_context.hpp"
-#include "geom/parallel.hpp"
 #include "geom/spatial_index.hpp"
 
 namespace kc {
@@ -256,11 +257,6 @@ bool DistanceOracle::ordered_scans_available() const noexcept {
 void DistanceOracle::update_nearest_ordered(index_t center,
                                             std::span<double> best_ordered,
                                             PruneCache* cache) const {
-  if (!ordered_scans_available() || best_ordered.size() != points_->size()) {
-    throw std::logic_error(
-        "update_nearest_ordered: no matching spatial index bound (check "
-        "ordered_scans_available())");
-  }
   const index_t one[1] = {center};
   pruned_scan({one, 1}, best_ordered, cache, /*ordered=*/true,
               "update_nearest_ordered");
@@ -269,12 +265,6 @@ void DistanceOracle::update_nearest_ordered(index_t center,
 void DistanceOracle::update_nearest_multi_ordered(
     std::span<const index_t> centers, std::span<double> best_ordered,
     PruneCache* cache) const {
-  if (!ordered_scans_available() || best_ordered.size() != points_->size()) {
-    throw std::logic_error(
-        "update_nearest_multi_ordered: no matching spatial index bound "
-        "(check ordered_scans_available())");
-  }
-  if (centers.empty()) return;
   pruned_scan(centers, best_ordered, cache, /*ordered=*/true,
               "update_nearest_multi_ordered");
 }
@@ -303,6 +293,13 @@ double DistanceOracle::from_reported(double dist) const noexcept {
 void DistanceOracle::pruned_scan(std::span<const index_t> centers,
                                  std::span<double> best, PruneCache* cache,
                                  bool ordered, std::string_view where) const {
+  if (ordered &&
+      (!ordered_scans_available() || best.size() != points_->size())) {
+    throw std::logic_error(std::string(where) +
+                           ": no matching spatial index bound (check "
+                           "ordered_scans_available())");
+  }
+  if (centers.empty()) return;
   const SpatialIndex& idx = *index_;
   const std::size_t n = points_->size();
   const std::size_t d = dim();
@@ -493,48 +490,8 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
 void DistanceOracle::update_nearest(std::span<const index_t> ids,
                                     index_t center, std::span<double> best,
                                     PruneCache* cache) const {
-  if (prune_applicable(ids)) {
-    const index_t one[1] = {center};
-    pruned_scan({one, 1}, best, cache, /*ordered=*/false, "update_nearest");
-    return;
-  }
-  if (cache != nullptr) cache->invalidate();
-  // The whole scan is charged to the calling thread up front, so a
-  // sharded execution attributes work exactly as a sequential one.
-  counters::add_distance_evals(ids.size(), dim());
-  if (ids.empty()) return;
-
-  // Iota id spans — what all_indices() produces and most call sites
-  // pass — skip the gather indirection and stream PointSet rows.
-  const bool contig = simd::is_contiguous_run(ids.data(), ids.size());
-  const std::size_t m = metric_index();
-  const std::size_t d = dim();
-  const double* c = points_->data(center);
-  const auto run = [&](std::size_t lo, std::size_t hi) {
-    if (contig) {
-      kernels_->nearest_contig[m](points_->data(ids[lo]), d, hi - lo, c,
-                                  best.data() + lo);
-    } else {
-      kernels_->nearest_gather[m](points_->raw().data(), d, ids.data() + lo,
-                                  hi - lo, c, best.data() + lo);
-    }
-  };
-  const bool fan_out = exec_ != nullptr && ids.size() >= shard_min_;
-  if (gating(ctx_)) {
-    const exec::StopReason reason =
-        gated_scan(*ctx_, exec_, fan_out, ids.size(),
-                   std::max<std::size_t>(1, shard_min_ / 2),
-                   /*evals_per_item=*/1, run);
-    if (reason != exec::StopReason::None) {
-      exec::ChunkContext::raise(reason, "update_nearest");
-    }
-    return;
-  }
-  if (fan_out) {
-    sharded_for(exec_, ids.size(), shard_min_, run);
-    return;
-  }
-  run(0, ids.size());
+  const index_t one[1] = {center};
+  nearest_scan(ids, {one, 1}, best, cache, "update_nearest");
 }
 
 void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
@@ -542,22 +499,33 @@ void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
                                           std::span<double> best,
                                           PruneCache* cache) const {
   if (ids.empty() || centers.empty()) return;
+  nearest_scan(ids, centers, best, cache, "update_nearest_multi");
+}
+
+void DistanceOracle::nearest_scan(std::span<const index_t> ids,
+                                  std::span<const index_t> centers,
+                                  std::span<double> best, PruneCache* cache,
+                                  std::string_view where) const {
   if (prune_applicable(ids)) {
-    pruned_scan(centers, best, cache, /*ordered=*/false,
-                "update_nearest_multi");
+    pruned_scan(centers, best, cache, /*ordered=*/false, where);
     return;
   }
   if (cache != nullptr) cache->invalidate();
-  // One bulk charge for the whole ids x centers batch.
+  // One bulk charge for the whole ids x centers batch, to the calling
+  // thread up front, so a sharded execution attributes work exactly as
+  // a sequential one.
   counters::add_distance_evals(ids.size() * centers.size(), dim());
+  if (ids.empty()) return;
 
+  // Iota id spans — what all_indices() produces and most call sites
+  // pass — skip the gather indirection and stream PointSet rows.
   const bool contig = simd::is_contiguous_run(ids.data(), ids.size());
   const std::size_t m = metric_index();
   const std::size_t d = dim();
   // Per chunk, centers are tiled in blocks of kCenterBlock: each
   // streaming pass over the chunk folds a whole block per load of
   // best/ids. Fold order stays center-major (block by block, in-block
-  // in order), which is bit-identical to repeated update_nearest.
+  // in order), which is bit-identical to one pass per center.
   const auto run = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t cb = 0; cb < centers.size(); cb += simd::kCenterBlock) {
       const std::size_t nc = std::min(simd::kCenterBlock, centers.size() - cb);
@@ -591,7 +559,7 @@ void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
         gated_scan(*ctx_, exec_, fan_out, ids.size(), grain,
                    /*evals_per_item=*/centers.size(), run);
     if (reason != exec::StopReason::None) {
-      exec::ChunkContext::raise(reason, "update_nearest_multi");
+      exec::ChunkContext::raise(reason, where);
     }
     return;
   }

@@ -316,12 +316,20 @@ class DistanceOracle {
   [[nodiscard]] bool prune_applicable(
       std::span<const index_t> ids) const noexcept;
 
+  /// The id-domain scan behind update_nearest (a one-center span) and
+  /// update_nearest_multi: pruned_scan when prune_applicable(ids),
+  /// otherwise the unpruned blocked scan. A stop raises labelled `where`.
+  void nearest_scan(std::span<const index_t> ids,
+                    std::span<const index_t> centers, std::span<double> best,
+                    PruneCache* cache, std::string_view where) const;
+
   /// The cell-pruned scan body shared by update_nearest (one-center
   /// span), update_nearest_multi and their ordered variants. With
-  /// `ordered`, `best` is in index order and folded in place; otherwise
-  /// it is in id order and staged per cell. Charges evaluated and
-  /// pruned pairs to the calling thread's counters from what actually
-  /// ran.
+  /// `ordered`, `best` is in index order and folded in place (throws
+  /// std::logic_error labelled `where` unless ordered_scans_available()
+  /// and best covers the point set); otherwise it is in id order and
+  /// staged per cell. Charges evaluated and pruned pairs to the calling
+  /// thread's counters from what actually ran.
   void pruned_scan(std::span<const index_t> centers, std::span<double> best,
                    PruneCache* cache, bool ordered,
                    std::string_view where) const;

@@ -23,14 +23,18 @@
 // other than "0"), the escape hatch for debugging and for A/B runs.
 // Tests and benches can also grab a specific table via `kernels_for`.
 //
-// Two structural fast paths ride on top of the kernels:
-//   - contiguous-range entry points (`nearest_contig` / multi): when the
-//     caller's id span is an iota run — what `PointSet::all_indices`
-//     produces and most call sites pass — the kernels stream PointSet
-//     rows directly instead of gathering through the index array;
-//   - center-blocked multi kernels: up to kCenterBlock centers are
-//     folded per streaming pass over the points, cutting best[]/ids[]
-//     traffic ~4x for EIM's select-round batches.
+// One nearest-center kernel per id layout: every scan that folds
+// centers into best[] (one per Gonzalez sweep, a block per EIM select
+// round) calls `nearest_multi_contig` or `nearest_multi_gather` with
+// 1..kCenterBlock centers, which switch once per call into a body
+// compiled for that count. Two structural fast paths ride on top:
+//   - the contiguous layout: when the caller's id span is an iota run —
+//     what `PointSet::all_indices` produces and most call sites pass —
+//     the kernel streams PointSet rows directly instead of gathering
+//     through the index array;
+//   - center blocking: up to kCenterBlock centers are folded per
+//     streaming pass over the points, cutting best[]/ids[] traffic ~4x
+//     for EIM's select-round batches.
 #pragma once
 
 #include <cstddef>
@@ -40,8 +44,9 @@
 
 namespace kc::simd {
 
-/// Number of centers folded per streaming pass by the blocked
-/// update_nearest_multi kernels.
+/// Most centers one nearest-center kernel call folds per streaming pass
+/// over the points; each count 1..kCenterBlock has its own compiled
+/// kernel body.
 inline constexpr std::size_t kCenterBlock = 4;
 
 /// Number of metrics (mirrors MetricKind; kernel tables are indexed by
@@ -60,20 +65,13 @@ struct KernelTable {
   double (*pair[kMetricCount])(const double* a, const double* b,
                                std::size_t dim);
 
-  /// best[i] = min(best[i], metric(coords + ids[i]*dim, center)).
-  void (*nearest_gather[kMetricCount])(const double* coords, std::size_t dim,
-                                       const index_t* ids, std::size_t n,
-                                       const double* center, double* best);
-
-  /// Contiguous fast path: rows points at the first of n consecutive
-  /// point rows; best[i] = min(best[i], metric(rows + i*dim, center)).
-  void (*nearest_contig[kMetricCount])(const double* rows, std::size_t dim,
-                                       std::size_t n, const double* center,
-                                       double* best);
-
-  /// Center-blocked variants: centers[0..ncenters) are folded into best
-  /// in order during one pass over the points. ncenters must be in
-  /// [1, kCenterBlock]; callers tile larger batches.
+  /// Nearest-center folds: best[i] = min(best[i], metric(p_i, c)) for
+  /// each of centers[0..ncenters), folded in that order during one pass
+  /// over the points, so the result is bit-identical to ncenters
+  /// one-center passes. ncenters must be in [1, kCenterBlock]; callers
+  /// tile larger batches. The gather layout reads point i at
+  /// coords + ids[i]*dim; the contiguous layout reads n consecutive rows
+  /// starting at `rows`.
   void (*nearest_multi_gather[kMetricCount])(
       const double* coords, std::size_t dim, const index_t* ids, std::size_t n,
       const double* const* centers, std::size_t ncenters, double* best);

@@ -9,32 +9,24 @@ namespace kc::simd {
 namespace {
 
 template <double (*Pair)(const double*, const double*, std::size_t)>
-void nearest_gather_fn(const double* coords, std::size_t dim,
-                       const index_t* ids, std::size_t n, const double* center,
-                       double* best) {
-  scalar::nearest_gather(coords, dim, ids, n, center, best, Pair);
-}
-
-template <double (*Pair)(const double*, const double*, std::size_t)>
-void nearest_contig_fn(const double* rows, std::size_t dim, std::size_t n,
-                       const double* center, double* best) {
-  scalar::nearest_contig(rows, dim, n, center, best, Pair);
-}
-
-template <double (*Pair)(const double*, const double*, std::size_t)>
 void nearest_multi_gather_fn(const double* coords, std::size_t dim,
                              const index_t* ids, std::size_t n,
                              const double* const* centers, std::size_t ncenters,
                              double* best) {
-  scalar::nearest_multi_gather(coords, dim, ids, n, centers, ncenters, best,
-                               Pair);
+  with_center_count(ncenters, [&](auto nc) {
+    scalar::nearest_multi_gather<decltype(nc)::value, Pair>(coords, dim, ids,
+                                                            n, centers, best);
+  });
 }
 
 template <double (*Pair)(const double*, const double*, std::size_t)>
 void nearest_multi_contig_fn(const double* rows, std::size_t dim,
                              std::size_t n, const double* const* centers,
                              std::size_t ncenters, double* best) {
-  scalar::nearest_multi_contig(rows, dim, n, centers, ncenters, best, Pair);
+  with_center_count(ncenters, [&](auto nc) {
+    scalar::nearest_multi_contig<decltype(nc)::value, Pair>(rows, dim, n,
+                                                            centers, best);
+  });
 }
 
 template <double (*Pair)(const double*, const double*, std::size_t)>
@@ -53,10 +45,6 @@ double nearest_soa_fn(const double* point, const double* soa, std::size_t dim,
 constexpr KernelTable kScalarTable = {
     "scalar",
     {scalar::l2sq, scalar::l1, scalar::linf},
-    {nearest_gather_fn<scalar::l2sq>, nearest_gather_fn<scalar::l1>,
-     nearest_gather_fn<scalar::linf>},
-    {nearest_contig_fn<scalar::l2sq>, nearest_contig_fn<scalar::l1>,
-     nearest_contig_fn<scalar::linf>},
     {nearest_multi_gather_fn<scalar::l2sq>, nearest_multi_gather_fn<scalar::l1>,
      nearest_multi_gather_fn<scalar::linf>},
     {nearest_multi_contig_fn<scalar::l2sq>, nearest_multi_contig_fn<scalar::l1>,

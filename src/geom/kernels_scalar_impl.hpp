@@ -21,6 +21,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 
 #include "geom/kernels.hpp"
 #include "geom/point_set.hpp"
@@ -72,64 +73,54 @@ namespace {
   return acc;
 }
 
-template <typename Pair>
-inline void nearest_gather(const double* coords, std::size_t dim,
-                           const index_t* ids, std::size_t n,
-                           const double* center, double* best,
-                           Pair&& pair) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d =
-        pair(coords + static_cast<std::size_t>(ids[i]) * dim, center, dim);
-    if (d < best[i]) best[i] = d;
+// Blocked nearest-center folds: per point, centers fold in order
+// 0..NC-1, exactly the result of NC one-center passes. NC and the pair
+// kernel are compile-time constants (see with_center_count), and dims 2
+// and 3 get loops of their own, so the pair kernel inlines with its
+// dimension branches folded away. `row(i, d)` points at point i.
+template <std::size_t NC, auto pair, typename Row>
+inline void nearest_multi(std::size_t dim, std::size_t n, Row&& row,
+                          const double* const* centers, double* best) noexcept {
+  const auto fold = [&](std::size_t d) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* p = row(i, d);
+      double b = best[i];
+      for (std::size_t c = 0; c < NC; ++c) {
+        const double v = pair(p, centers[c], d);
+        if (v < b) b = v;
+      }
+      best[i] = b;
+    }
+  };
+  if (dim == 2) {
+    fold(2);
+  } else if (dim == 3) {
+    fold(3);
+  } else {
+    fold(dim);
   }
 }
 
-template <typename Pair>
-inline void nearest_contig(const double* rows, std::size_t dim, std::size_t n,
-                           const double* center, double* best,
-                           Pair&& pair) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double d = pair(rows + i * dim, center, dim);
-    if (d < best[i]) best[i] = d;
-  }
-}
-
-// Blocked multi-center folds. Per point, centers are folded in order
-// 0..ncenters-1, which is exactly the result of `ncenters` sequential
-// single-center passes — the min-fold per (point, center) pair is the
-// same operation in the same order.
-
-template <typename Pair>
+template <std::size_t NC, auto pair>
 inline void nearest_multi_gather(const double* coords, std::size_t dim,
                                  const index_t* ids, std::size_t n,
                                  const double* const* centers,
-                                 std::size_t ncenters, double* best,
-                                 Pair&& pair) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* p = coords + static_cast<std::size_t>(ids[i]) * dim;
-    double b = best[i];
-    for (std::size_t c = 0; c < ncenters; ++c) {
-      const double d = pair(p, centers[c], dim);
-      if (d < b) b = d;
-    }
-    best[i] = b;
-  }
+                                 double* best) noexcept {
+  nearest_multi<NC, pair>(
+      dim, n,
+      [&](std::size_t i, std::size_t d) {
+        return coords + static_cast<std::size_t>(ids[i]) * d;
+      },
+      centers, best);
 }
 
-template <typename Pair>
+template <std::size_t NC, auto pair>
 inline void nearest_multi_contig(const double* rows, std::size_t dim,
                                  std::size_t n, const double* const* centers,
-                                 std::size_t ncenters, double* best,
-                                 Pair&& pair) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* p = rows + i * dim;
-    double b = best[i];
-    for (std::size_t c = 0; c < ncenters; ++c) {
-      const double d = pair(p, centers[c], dim);
-      if (d < b) b = d;
-    }
-    best[i] = b;
-  }
+                                 double* best) noexcept {
+  nearest_multi<NC, pair>(
+      dim, n, [&](std::size_t i, std::size_t d) { return rows + i * d; },
+      centers, best);
 }
 
 /// Dense m x n distance tile: out[i * ldo + j] = pair(arows_i, brows_j).
@@ -195,3 +186,25 @@ inline double nearest_soa(const double* point, const double* soa,
 
 }  // namespace
 }  // namespace kc::simd::scalar
+
+namespace kc::simd {
+namespace {
+
+/// Calls body(std::integral_constant<std::size_t, NC>{}) with NC equal
+/// to ncenters: every table's nearest entries switch once per call into
+/// a body compiled for that center count. An ncenters outside
+/// [1, kCenterBlock] is a precondition violation and runs nothing.
+template <typename Body>
+inline void with_center_count(std::size_t ncenters, Body&& body) {
+  static_assert(kCenterBlock == 4, "one case per center count");
+  switch (ncenters) {
+    case 1: body(std::integral_constant<std::size_t, 1>{}); break;
+    case 2: body(std::integral_constant<std::size_t, 2>{}); break;
+    case 3: body(std::integral_constant<std::size_t, 3>{}); break;
+    case 4: body(std::integral_constant<std::size_t, 4>{}); break;
+    default: break;
+  }
+}
+
+}  // namespace
+}  // namespace kc::simd

@@ -36,7 +36,7 @@
 //   void maskz_deinterleave2(const double* p, std::size_t r,
 //                            reg& x, reg& y);     // first r dim-2 rows
 //
-// then the update_nearest tails run vectorized under a mask: active
+// then the nearest-center folds' tails run vectorized under a mask: active
 // lanes perform exactly the main loop's (scalar-identical) operation
 // sequence, inactive lanes compute on zeros and are never stored, so
 // bit-identity holds and no out-of-bounds element is ever read. The
@@ -95,204 +95,43 @@ struct SimdKernels {
     }
   }
 
-  /// Masked tail of nearest_contig: the last r (< W) rows run in the
-  /// low r lanes with exactly the main loop's operation sequence;
-  /// inactive lanes compute on zeros and are neither read from memory
-  /// (maskz loads fault-suppress) nor written back (masked store).
-  static void tail_contig(const double* rows, std::size_t dim, std::size_t r,
-                          const double* center, double* best)
+  // Blocked nearest-center folds, NC (compiled in) centers per pass:
+  // per point, centers fold in index order, bit-identical to NC
+  // one-center passes, with the accumulators in registers, so NC = 1 is
+  // a plain one-center sweep. Dim 2 (both layouts) and dim 3
+  // (contiguous) get their own loops: the paper's data is 2-3-D.
+
+  /// Masked tail of both layouts: rows[j] points at the j-th of the
+  /// last r (< W) points, folded in the low r lanes with the main
+  /// loops' per-center accumulate / min sequence. Inactive lanes compute
+  /// on zeros and are neither loaded nor stored.
+  template <std::size_t NC>
+  static void tail_multi(const double* const* rows, std::size_t dim,
+                         std::size_t r, const double* const* centers,
+                         double* best)
     requires HasMaskedTail<V>
   {
     const auto m = V::tail_mask(r);
-    reg acc;
-    if (dim == 2) {
-      reg x, y;
-      V::maskz_deinterleave2(rows, r, x, y);
-      acc = accum(accum(V::zero(), V::sub(x, V::set1(center[0]))),
-                  V::sub(y, V::set1(center[1])));
-    } else {
-      acc = V::zero();
-      for (std::size_t d = 0; d < dim; ++d) {
-        acc = accum(acc, V::sub(V::maskz_load_strided(rows + d, dim, r),
-                                V::set1(center[d])));
-      }
-    }
-    V::mask_storeu(best, m, V::vmin(acc, V::maskz_loadu(m, best)));
-  }
-
-  /// Masked tail of nearest_gather; `ids` holds the r remaining ids.
-  static void tail_gather(const double* coords, std::size_t dim,
-                          const index_t* ids, std::size_t r,
-                          const double* center, double* best)
-    requires HasMaskedTail<V>
-  {
-    const double* rows[W];
-    for (std::size_t j = 0; j < r; ++j) {
-      rows[j] = coords + static_cast<std::size_t>(ids[j]) * dim;
-    }
-    const auto m = V::tail_mask(r);
-    reg acc = V::zero();
-    for (std::size_t d = 0; d < dim; ++d) {
-      acc = accum(acc, V::sub(V::maskz_load_rows(rows, d, r),
-                              V::set1(center[d])));
-    }
-    V::mask_storeu(best, m, V::vmin(acc, V::maskz_loadu(m, best)));
-  }
-
-  static void nearest_contig(const double* rows, std::size_t dim,
-                             std::size_t n, const double* center,
-                             double* best) {
-    std::size_t i = 0;
-    if (dim == 2) {
-      const reg c0 = V::set1(center[0]);
-      const reg c1 = V::set1(center[1]);
-      for (; i + W <= n; i += W) {
-        reg x, y;
-        V::deinterleave2(rows + 2 * i, x, y);
-        const reg acc = accum(accum(V::zero(), V::sub(x, c0)), V::sub(y, c1));
-        V::storeu(best + i, V::vmin(acc, V::loadu(best + i)));
-      }
-    } else if (dim == 3) {
-      const reg c0 = V::set1(center[0]);
-      const reg c1 = V::set1(center[1]);
-      const reg c2 = V::set1(center[2]);
-      for (; i + W <= n; i += W) {
-        const double* p = rows + 3 * i;
-        reg acc = accum(V::zero(), V::sub(V::load_strided(p + 0, 3), c0));
-        acc = accum(acc, V::sub(V::load_strided(p + 1, 3), c1));
-        acc = accum(acc, V::sub(V::load_strided(p + 2, 3), c2));
-        V::storeu(best + i, V::vmin(acc, V::loadu(best + i)));
-      }
-    } else {
-      for (; i + W <= n; i += W) {
-        const double* p = rows + dim * i;
-        reg acc = V::zero();
-        for (std::size_t d = 0; d < dim; ++d) {
-          acc = accum(acc, V::sub(V::load_strided(p + d, dim),
-                                  V::set1(center[d])));
-        }
-        V::storeu(best + i, V::vmin(acc, V::loadu(best + i)));
-      }
-    }
-    if (i < n) {
-      if constexpr (HasMaskedTail<V>) {
-        tail_contig(rows + dim * i, dim, n - i, center, best + i);
-      } else {
-        scalar::nearest_contig(rows + dim * i, dim, n - i, center, best + i,
-                               kPair);
-      }
-    }
-  }
-
-  static void nearest_gather(const double* coords, std::size_t dim,
-                             const index_t* ids, std::size_t n,
-                             const double* center, double* best) {
-    std::size_t i = 0;
-    const double* rows[W];
-    if (dim == 2) {
-      const reg c0 = V::set1(center[0]);
-      const reg c1 = V::set1(center[1]);
-      for (; i + W <= n; i += W) {
-        for (std::size_t j = 0; j < W; ++j) {
-          rows[j] = coords + static_cast<std::size_t>(ids[i + j]) * 2;
-        }
-        const reg acc =
-            accum(accum(V::zero(), V::sub(V::load_rows(rows, 0), c0)),
-                  V::sub(V::load_rows(rows, 1), c1));
-        V::storeu(best + i, V::vmin(acc, V::loadu(best + i)));
-      }
-    } else {
-      for (; i + W <= n; i += W) {
-        for (std::size_t j = 0; j < W; ++j) {
-          rows[j] = coords + static_cast<std::size_t>(ids[i + j]) * dim;
-        }
-        reg acc = V::zero();
-        for (std::size_t d = 0; d < dim; ++d) {
-          acc = accum(acc, V::sub(V::load_rows(rows, d), V::set1(center[d])));
-        }
-        V::storeu(best + i, V::vmin(acc, V::loadu(best + i)));
-      }
-    }
-    if (i < n) {
-      if constexpr (HasMaskedTail<V>) {
-        tail_gather(coords, dim, ids + i, n - i, center, best + i);
-      } else {
-        scalar::nearest_gather(coords, dim, ids + i, n - i, center, best + i,
-                               kPair);
-      }
-    }
-  }
-
-  // Center-blocked variants: per point, centers fold in index order, so
-  // the result is bit-identical to ncenters sequential passes while the
-  // points and best[] stream through memory only once.
-
-  /// Masked tail of nearest_multi_contig: the last r (< W) rows fold
-  /// the whole center block in the low r lanes, mirroring the main
-  /// loop's per-center accumulate / min sequence exactly. Inactive
-  /// lanes compute on zeros and are neither loaded nor stored.
-  static void tail_multi_contig(const double* rows, std::size_t dim,
-                                std::size_t r, const double* const* centers,
-                                std::size_t ncenters, double* best)
-    requires HasMaskedTail<V>
-  {
-    const auto m = V::tail_mask(r);
-    reg b = V::maskz_loadu(m, best);
-    if (dim == 2) {
-      reg x, y;
-      V::maskz_deinterleave2(rows, r, x, y);
-      for (std::size_t c = 0; c < ncenters; ++c) {
-        const reg acc =
-            accum(accum(V::zero(), V::sub(x, V::set1(centers[c][0]))),
-                  V::sub(y, V::set1(centers[c][1])));
-        b = V::vmin(acc, b);
-      }
-    } else {
-      reg acc[kCenterBlock];
-      for (std::size_t c = 0; c < ncenters; ++c) acc[c] = V::zero();
-      for (std::size_t d = 0; d < dim; ++d) {
-        const reg x = V::maskz_load_strided(rows + d, dim, r);
-        for (std::size_t c = 0; c < ncenters; ++c) {
-          acc[c] = accum(acc[c], V::sub(x, V::set1(centers[c][d])));
-        }
-      }
-      for (std::size_t c = 0; c < ncenters; ++c) b = V::vmin(acc[c], b);
-    }
-    V::mask_storeu(best, m, b);
-  }
-
-  /// Masked tail of nearest_multi_gather; `ids` holds the r remaining ids.
-  static void tail_multi_gather(const double* coords, std::size_t dim,
-                                const index_t* ids, std::size_t r,
-                                const double* const* centers,
-                                std::size_t ncenters, double* best)
-    requires HasMaskedTail<V>
-  {
-    const double* rows[W];
-    for (std::size_t j = 0; j < r; ++j) {
-      rows[j] = coords + static_cast<std::size_t>(ids[j]) * dim;
-    }
-    const auto m = V::tail_mask(r);
-    reg acc[kCenterBlock];
-    for (std::size_t c = 0; c < ncenters; ++c) acc[c] = V::zero();
+    reg acc[NC];
+    for (std::size_t c = 0; c < NC; ++c) acc[c] = V::zero();
     for (std::size_t d = 0; d < dim; ++d) {
       const reg x = V::maskz_load_rows(rows, d, r);
-      for (std::size_t c = 0; c < ncenters; ++c) {
+      for (std::size_t c = 0; c < NC; ++c) {
         acc[c] = accum(acc[c], V::sub(x, V::set1(centers[c][d])));
       }
     }
     reg b = V::maskz_loadu(m, best);
-    for (std::size_t c = 0; c < ncenters; ++c) b = V::vmin(acc[c], b);
+    for (std::size_t c = 0; c < NC; ++c) b = V::vmin(acc[c], b);
     V::mask_storeu(best, m, b);
   }
 
-  static void nearest_multi_contig(const double* rows, std::size_t dim,
-                                   std::size_t n, const double* const* centers,
-                                   std::size_t ncenters, double* best) {
+  template <std::size_t NC>
+  static void multi_contig(const double* rows, std::size_t dim, std::size_t n,
+                           const double* const* centers, double* best) {
     std::size_t i = 0;
     if (dim == 2) {
-      reg c0[kCenterBlock], c1[kCenterBlock];
-      for (std::size_t c = 0; c < ncenters; ++c) {
+      reg c0[NC], c1[NC];
+      for (std::size_t c = 0; c < NC; ++c) {
         c0[c] = V::set1(centers[c][0]);
         c1[c] = V::set1(centers[c][1]);
       }
@@ -300,7 +139,82 @@ struct SimdKernels {
         reg x, y;
         V::deinterleave2(rows + 2 * i, x, y);
         reg b = V::loadu(best + i);
-        for (std::size_t c = 0; c < ncenters; ++c) {
+        for (std::size_t c = 0; c < NC; ++c) {
+          const reg acc =
+              accum(accum(V::zero(), V::sub(x, c0[c])), V::sub(y, c1[c]));
+          b = V::vmin(acc, b);
+        }
+        V::storeu(best + i, b);
+      }
+    } else if (dim == 3) {
+      reg c0[NC], c1[NC], c2[NC];
+      for (std::size_t c = 0; c < NC; ++c) {
+        c0[c] = V::set1(centers[c][0]);
+        c1[c] = V::set1(centers[c][1]);
+        c2[c] = V::set1(centers[c][2]);
+      }
+      for (; i + W <= n; i += W) {
+        const double* p = rows + 3 * i;
+        const reg x = V::load_strided(p + 0, 3);
+        const reg y = V::load_strided(p + 1, 3);
+        const reg z = V::load_strided(p + 2, 3);
+        reg b = V::loadu(best + i);
+        for (std::size_t c = 0; c < NC; ++c) {
+          reg acc = accum(V::zero(), V::sub(x, c0[c]));
+          acc = accum(acc, V::sub(y, c1[c]));
+          acc = accum(acc, V::sub(z, c2[c]));
+          b = V::vmin(acc, b);
+        }
+        V::storeu(best + i, b);
+      }
+    } else {
+      for (; i + W <= n; i += W) {
+        const double* p = rows + dim * i;
+        reg acc[NC];
+        for (std::size_t c = 0; c < NC; ++c) acc[c] = V::zero();
+        for (std::size_t d = 0; d < dim; ++d) {
+          const reg x = V::load_strided(p + d, dim);
+          for (std::size_t c = 0; c < NC; ++c) {
+            acc[c] = accum(acc[c], V::sub(x, V::set1(centers[c][d])));
+          }
+        }
+        reg b = V::loadu(best + i);
+        for (std::size_t c = 0; c < NC; ++c) b = V::vmin(acc[c], b);
+        V::storeu(best + i, b);
+      }
+    }
+    if (i < n) {
+      if constexpr (HasMaskedTail<V>) {
+        const double* tail[W];
+        for (std::size_t j = i; j < n; ++j) tail[j - i] = rows + dim * j;
+        tail_multi<NC>(tail, dim, n - i, centers, best + i);
+      } else {
+        scalar::nearest_multi_contig<NC, kPair>(rows + dim * i, dim, n - i,
+                                                centers, best + i);
+      }
+    }
+  }
+
+  template <std::size_t NC>
+  static void multi_gather(const double* coords, std::size_t dim,
+                           const index_t* ids, std::size_t n,
+                           const double* const* centers, double* best) {
+    std::size_t i = 0;
+    const double* rows[W];
+    if (dim == 2) {
+      reg c0[NC], c1[NC];
+      for (std::size_t c = 0; c < NC; ++c) {
+        c0[c] = V::set1(centers[c][0]);
+        c1[c] = V::set1(centers[c][1]);
+      }
+      for (; i + W <= n; i += W) {
+        for (std::size_t j = 0; j < W; ++j) {
+          rows[j] = coords + static_cast<std::size_t>(ids[i + j]) * 2;
+        }
+        const reg x = V::load_rows(rows, 0);
+        const reg y = V::load_rows(rows, 1);
+        reg b = V::loadu(best + i);
+        for (std::size_t c = 0; c < NC; ++c) {
           const reg acc =
               accum(accum(V::zero(), V::sub(x, c0[c])), V::sub(y, c1[c]));
           b = V::vmin(acc, b);
@@ -309,29 +223,52 @@ struct SimdKernels {
       }
     } else {
       for (; i + W <= n; i += W) {
-        const double* p = rows + dim * i;
-        reg acc[kCenterBlock];
-        for (std::size_t c = 0; c < ncenters; ++c) acc[c] = V::zero();
+        for (std::size_t j = 0; j < W; ++j) {
+          rows[j] = coords + static_cast<std::size_t>(ids[i + j]) * dim;
+        }
+        reg acc[NC];
+        for (std::size_t c = 0; c < NC; ++c) acc[c] = V::zero();
         for (std::size_t d = 0; d < dim; ++d) {
-          const reg x = V::load_strided(p + d, dim);
-          for (std::size_t c = 0; c < ncenters; ++c) {
+          const reg x = V::load_rows(rows, d);
+          for (std::size_t c = 0; c < NC; ++c) {
             acc[c] = accum(acc[c], V::sub(x, V::set1(centers[c][d])));
           }
         }
         reg b = V::loadu(best + i);
-        for (std::size_t c = 0; c < ncenters; ++c) b = V::vmin(acc[c], b);
+        for (std::size_t c = 0; c < NC; ++c) b = V::vmin(acc[c], b);
         V::storeu(best + i, b);
       }
     }
     if (i < n) {
       if constexpr (HasMaskedTail<V>) {
-        tail_multi_contig(rows + dim * i, dim, n - i, centers, ncenters,
-                          best + i);
+        const double* tail[W];
+        for (std::size_t j = i; j < n; ++j) {
+          tail[j - i] = coords + static_cast<std::size_t>(ids[j]) * dim;
+        }
+        tail_multi<NC>(tail, dim, n - i, centers, best + i);
       } else {
-        scalar::nearest_multi_contig(rows + dim * i, dim, n - i, centers,
-                                     ncenters, best + i, kPair);
+        scalar::nearest_multi_gather<NC, kPair>(coords, dim, ids + i, n - i,
+                                                centers, best + i);
       }
     }
+  }
+
+  /// The table entries: one switch per call into the compiled count.
+  static void nearest_multi_contig(const double* rows, std::size_t dim,
+                                   std::size_t n, const double* const* centers,
+                                   std::size_t ncenters, double* best) {
+    with_center_count(ncenters, [&](auto nc) {
+      multi_contig<decltype(nc)::value>(rows, dim, n, centers, best);
+    });
+  }
+
+  static void nearest_multi_gather(const double* coords, std::size_t dim,
+                                   const index_t* ids, std::size_t n,
+                                   const double* const* centers,
+                                   std::size_t ncenters, double* best) {
+    with_center_count(ncenters, [&](auto nc) {
+      multi_gather<decltype(nc)::value>(coords, dim, ids, n, centers, best);
+    });
   }
 
   /// Dense m x n tile, vectorized across the b rows: lane j of a
@@ -437,39 +374,6 @@ struct SimdKernels {
     }
     return best;
   }
-
-  static void nearest_multi_gather(const double* coords, std::size_t dim,
-                                   const index_t* ids, std::size_t n,
-                                   const double* const* centers,
-                                   std::size_t ncenters, double* best) {
-    std::size_t i = 0;
-    const double* rows[W];
-    for (; i + W <= n; i += W) {
-      for (std::size_t j = 0; j < W; ++j) {
-        rows[j] = coords + static_cast<std::size_t>(ids[i + j]) * dim;
-      }
-      reg acc[kCenterBlock];
-      for (std::size_t c = 0; c < ncenters; ++c) acc[c] = V::zero();
-      for (std::size_t d = 0; d < dim; ++d) {
-        const reg x = V::load_rows(rows, d);
-        for (std::size_t c = 0; c < ncenters; ++c) {
-          acc[c] = accum(acc[c], V::sub(x, V::set1(centers[c][d])));
-        }
-      }
-      reg b = V::loadu(best + i);
-      for (std::size_t c = 0; c < ncenters; ++c) b = V::vmin(acc[c], b);
-      V::storeu(best + i, b);
-    }
-    if (i < n) {
-      if constexpr (HasMaskedTail<V>) {
-        tail_multi_gather(coords, dim, ids + i, n - i, centers, ncenters,
-                          best + i);
-      } else {
-        scalar::nearest_multi_gather(coords, dim, ids + i, n - i, centers,
-                                     ncenters, best + i, kPair);
-      }
-    }
-  }
 };
 
 /// Vectorized first-of-ties argmax: one max-fold pass (the maximum of a
@@ -515,8 +419,6 @@ constexpr KernelTable make_kernel_table(const char* name) {
   return KernelTable{
       name,
       {scalar::l2sq, scalar::l1, scalar::linf},
-      {&L2::nearest_gather, &L1::nearest_gather, &Li::nearest_gather},
-      {&L2::nearest_contig, &L1::nearest_contig, &Li::nearest_contig},
       {&L2::nearest_multi_gather, &L1::nearest_multi_gather,
        &Li::nearest_multi_gather},
       {&L2::nearest_multi_contig, &L1::nearest_multi_contig,

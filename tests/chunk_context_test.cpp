@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "data/generators.hpp"
 #include "eval/evaluate.hpp"
 #include "exec/chunk_context.hpp"
+#include "geom/spatial_index.hpp"
 #include "test_util.hpp"
 
 namespace kc {
@@ -197,6 +199,43 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GatedScans,
                            return std::string(
                                exec::to_string(param_info.param));
                          });
+
+// A stopped scan's error names the public scan, as the CLI and service
+// print it. update_nearest runs update_nearest_multi's body, so each
+// keeps its own label, unpruned and cell-pruned (the latter unless
+// KC_FORCE_NO_PRUNE vetoes it; the labels hold on either path).
+TEST(GatedScanLabels, BudgetErrorsNameTheScanThatStopped) {
+  Rng rng(14);
+  const PointSet data = data::generate_gau(4096, 4, 2, 100.0, 0.5, rng);
+  const std::vector<index_t> ids = data.all_indices();
+  const std::vector<index_t> centers{0, 1, 2};
+  const SpatialIndex index(data);
+  DistanceOracle oracle(data);
+  ChunkContext ctx;
+  oracle.bind_context(&ctx);
+  const auto message = [&](bool multi) {
+    ctx.budget = std::make_shared<EvalBudget>(1);
+    std::vector<double> best(ids.size(), kInfDist);
+    try {
+      if (multi) {
+        oracle.update_nearest_multi(ids, centers, best);
+      } else {
+        oracle.update_nearest(ids, 0, best);
+      }
+    } catch (const BudgetExceededError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const SpatialIndex* const bounds[] = {nullptr, &index};
+  for (const SpatialIndex* bound : bounds) {
+    oracle.bind_index(bound, PruneMode::On);
+    EXPECT_EQ(message(false),
+              "update_nearest: distance-evaluation budget exhausted");
+    EXPECT_EQ(message(true),
+              "update_nearest_multi: distance-evaluation budget exhausted");
+  }
+}
 
 // ------------------------------------------------- facade acceptance bar
 

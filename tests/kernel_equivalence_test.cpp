@@ -5,9 +5,10 @@
 // introduce drift, so equality here is checked on the raw bit patterns.
 //
 // Coverage: all three metrics, dims 1-16, ragged lengths around both
-// vector widths (4 and 8 lanes), gather vs contiguous id spans,
-// center-blocked multi folds vs repeated single-center passes, the
-// coordinate-major sample-box fold, and the vectorized argmax
+// vector widths (4 and 8 lanes), gather vs contiguous id spans, every
+// compiled center count of the nearest-center kernels against a
+// per-pair reference fold, tiled batches vs repeated one-center passes,
+// the coordinate-major sample-box fold, and the vectorized argmax
 // (including ties).
 #include <gtest/gtest.h>
 
@@ -32,6 +33,15 @@ std::vector<IsaLevel> simd_levels_available() {
     if (simd::isa_compiled(level) && simd::isa_supported(level)) {
       out.push_back(level);
     }
+  }
+  return out;
+}
+
+/// The scalar table first, then every SIMD table this host can run.
+std::vector<const KernelTable*> tables_to_test() {
+  std::vector<const KernelTable*> out{simd::kernels_for(IsaLevel::Scalar)};
+  for (const IsaLevel level : simd_levels_available()) {
+    out.push_back(simd::kernels_for(level));
   }
   return out;
 }
@@ -61,6 +71,26 @@ std::vector<double> random_best(std::size_t n, Rng& rng) {
   std::vector<double> best(n);
   for (auto& b : best) {
     b = rng.bernoulli(0.3) ? rng.uniform(0.0, 5.0) : kInfDist;
+  }
+  return best;
+}
+
+/// Reference for the nearest-center kernels: one pass per center, in
+/// order, folding the scalar pair kernel into best with the strict <.
+/// It calls the pair kernel only, never a nearest-center kernel.
+std::vector<double> fold_per_pair(std::size_t m,
+                                  const std::vector<double>& coords,
+                                  std::size_t dim,
+                                  const std::vector<index_t>& ids,
+                                  const std::vector<const double*>& centers,
+                                  std::vector<double> best) {
+  const auto pair = simd::kernels_for(IsaLevel::Scalar)->pair[m];
+  for (const double* center : centers) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const double d = pair(
+          coords.data() + static_cast<std::size_t>(ids[i]) * dim, center, dim);
+      if (d < best[i]) best[i] = d;
+    }
   }
   return best;
 }
@@ -105,43 +135,45 @@ const IdLayout kLayouts[] = {
 
 class KernelEquivalence : public ::testing::TestWithParam<MetricKind> {};
 
+// Both nearest-center entries of every table, at every center count
+// 1..kCenterBlock (each count runs its own compiled body), on every
+// dim, length and id layout.
 TEST_P(KernelEquivalence, UpdateNearestBitIdenticalAcrossIsas) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
-  const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
   const auto m = static_cast<std::size_t>(GetParam());
 
   Rng rng(42);
   for (std::size_t dim = 1; dim <= 16; ++dim) {
     const std::size_t n_points = 1024;
     const auto coords = random_coords(n_points * dim, rng);
-    const auto center = random_coords(dim, rng);
+    std::vector<std::vector<double>> centers(simd::kCenterBlock);
+    for (auto& center : centers) center = random_coords(dim, rng);
     for (const std::size_t n : kLengths) {
       for (const auto& layout : kLayouts) {
         const auto ids = layout.make(n, n_points, rng);
         const auto init = random_best(n, rng);
-
-        std::vector<double> want = init;
-        scalar->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                  center.data(), want.data());
-        for (const IsaLevel level : levels) {
-          const KernelTable* table = simd::kernels_for(level);
-          SCOPED_TRACE(std::string(table->name) + " dim=" +
-                       std::to_string(dim) + " n=" + std::to_string(n) + " " +
-                       layout.name);
-          std::vector<double> got = init;
-          table->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                   center.data(), got.data());
-          expect_bit_identical(got, want);
-
-          if (layout.contiguous) {
-            // The contiguous entry point must agree with the gather one
-            // on the same span (and hence with scalar).
-            const double* rows =
-                coords.data() + static_cast<std::size_t>(ids[0]) * dim;
-            got = init;
-            table->nearest_contig[m](rows, dim, n, center.data(), got.data());
+        for (std::size_t nc = 1; nc <= simd::kCenterBlock; ++nc) {
+          std::vector<const double*> cptr;
+          for (std::size_t c = 0; c < nc; ++c) {
+            cptr.push_back(centers[c].data());
+          }
+          const auto want = fold_per_pair(m, coords, dim, ids, cptr, init);
+          for (const KernelTable* table : tables_to_test()) {
+            SCOPED_TRACE(std::string(table->name) + " dim=" +
+                         std::to_string(dim) + " n=" + std::to_string(n) +
+                         " nc=" + std::to_string(nc) + " " + layout.name);
+            std::vector<double> got = init;
+            table->nearest_multi_gather[m](coords.data(), dim, ids.data(), n,
+                                           cptr.data(), nc, got.data());
             expect_bit_identical(got, want);
+
+            if (layout.contiguous) {
+              const double* rows =
+                  coords.data() + static_cast<std::size_t>(ids[0]) * dim;
+              got = init;
+              table->nearest_multi_contig[m](rows, dim, n, cptr.data(), nc,
+                                             got.data());
+              expect_bit_identical(got, want);
+            }
           }
         }
       }
@@ -151,68 +183,13 @@ TEST_P(KernelEquivalence, UpdateNearestBitIdenticalAcrossIsas) {
 
 // Masked-tail contract (AVX-512 replaces the scalar tail loop with
 // lane-masked kernels): every ragged remainder 1..W-1 must stay
-// bit-identical to scalar when the scan ends exactly at the end of its
-// allocations, and the masked store must leave best[] beyond n
+// bit-identical to the reference when the scan ends exactly at the end
+// of its allocations, and the masked store must leave best[] beyond n
 // untouched. The buffers here have zero slack after the last element,
 // so a tail that over-reads or over-writes by even one double corrupts
-// the guard values or faults under a sanitizer.
-TEST_P(KernelEquivalence, RaggedTailsExactBufferEndAndNoOverstore) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
-  const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
-  const auto m = static_cast<std::size_t>(GetParam());
-  constexpr double kGuard = -1234.5;
-
-  Rng rng(97);
-  for (std::size_t dim = 1; dim <= 9; ++dim) {
-    const auto center = random_coords(dim, rng);
-    for (std::size_t n = 1; n <= 17; ++n) {
-      // Coordinates sized exactly n rows — no slack for an over-read.
-      const auto coords = random_coords(n * dim, rng);
-      std::vector<index_t> ids(n);
-      for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<index_t>(i);
-      const auto init = random_best(n, rng);
-
-      std::vector<double> want = init;
-      scalar->nearest_contig[m](coords.data(), dim, n, center.data(),
-                                want.data());
-      for (const IsaLevel level : levels) {
-        const KernelTable* table = simd::kernels_for(level);
-        SCOPED_TRACE(std::string(table->name) + " dim=" + std::to_string(dim) +
-                     " n=" + std::to_string(n));
-        // Guard slots after best[n): a masked store must not touch them.
-        std::vector<double> got(init);
-        got.resize(n + 8, kGuard);
-        table->nearest_contig[m](coords.data(), dim, n, center.data(),
-                                 got.data());
-        for (std::size_t i = n; i < got.size(); ++i) {
-          EXPECT_EQ(got[i], kGuard) << "overstore at " << i;
-        }
-        got.resize(n);
-        expect_bit_identical(got, want);
-
-        got = init;
-        got.resize(n + 8, kGuard);
-        table->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                 center.data(), got.data());
-        for (std::size_t i = n; i < got.size(); ++i) {
-          EXPECT_EQ(got[i], kGuard) << "overstore at " << i;
-        }
-        got.resize(n);
-        expect_bit_identical(got, want);
-      }
-    }
-  }
-}
-
-// Same exact-buffer-end contract for the center-blocked multi kernels,
-// whose ragged tails are also lane-masked on AVX-512: every remainder
-// 1..W-1, every block size 1..kCenterBlock, scan ending flush with the
-// coordinate allocation, guards after best[n) untouched.
+// the guard values or faults under a sanitizer. Every center count
+// 1..kCenterBlock runs, on both layouts.
 TEST_P(KernelEquivalence, RaggedTailsMultiExactBufferEndAndNoOverstore) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
-  const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
   const auto m = static_cast<std::size_t>(GetParam());
   constexpr double kGuard = -1234.5;
 
@@ -232,11 +209,8 @@ TEST_P(KernelEquivalence, RaggedTailsMultiExactBufferEndAndNoOverstore) {
         for (std::size_t i = 0; i < n; ++i) ids[i] = static_cast<index_t>(i);
         const auto init = random_best(n, rng);
 
-        std::vector<double> want = init;
-        scalar->nearest_multi_contig[m](coords.data(), dim, n, cptr.data(),
-                                        nc, want.data());
-        for (const IsaLevel level : levels) {
-          const KernelTable* table = simd::kernels_for(level);
+        const auto want = fold_per_pair(m, coords, dim, ids, cptr, init);
+        for (const KernelTable* table : tables_to_test()) {
           SCOPED_TRACE(std::string(table->name) + " dim=" +
                        std::to_string(dim) + " nc=" + std::to_string(nc) +
                        " n=" + std::to_string(n));
@@ -266,9 +240,6 @@ TEST_P(KernelEquivalence, RaggedTailsMultiExactBufferEndAndNoOverstore) {
 }
 
 TEST_P(KernelEquivalence, BlockedMultiMatchesRepeatedSingleCenterPasses) {
-  const auto levels = simd_levels_available();
-  if (levels.empty()) GTEST_SKIP() << "no SIMD kernels on this host";
-  const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
   const auto m = static_cast<std::size_t>(GetParam());
 
   Rng rng(77);
@@ -287,14 +258,10 @@ TEST_P(KernelEquivalence, BlockedMultiMatchesRepeatedSingleCenterPasses) {
         const auto ids = kLayouts[2].make(n, n_points, rng);
         const auto init = random_best(n, rng);
 
-        // Reference: scalar single-center passes, in center order.
-        std::vector<double> want = init;
-        for (std::size_t c = 0; c < nc; ++c) {
-          scalar->nearest_gather[m](coords.data(), dim, ids.data(), n,
-                                    centers[c].data(), want.data());
-        }
-        for (const IsaLevel level : levels) {
-          const KernelTable* table = simd::kernels_for(level);
+        const auto want = fold_per_pair(m, coords, dim, ids, cptr, init);
+        const auto iota = kLayouts[0].make(n, n_points, rng);
+        const auto want_c = fold_per_pair(m, coords, dim, iota, cptr, init);
+        for (const KernelTable* table : tables_to_test()) {
           SCOPED_TRACE(std::string(table->name) + " dim=" +
                        std::to_string(dim) + " nc=" + std::to_string(nc) +
                        " n=" + std::to_string(n));
@@ -309,12 +276,6 @@ TEST_P(KernelEquivalence, BlockedMultiMatchesRepeatedSingleCenterPasses) {
           expect_bit_identical(got, want);
 
           // Contiguous blocked variant over an iota span.
-          const auto iota = kLayouts[0].make(n, n_points, rng);
-          std::vector<double> want_c = init;
-          for (std::size_t c = 0; c < nc; ++c) {
-            scalar->nearest_gather[m](coords.data(), dim, iota.data(), n,
-                                      centers[c].data(), want_c.data());
-          }
           got = init;
           for (std::size_t cb = 0; cb < nc; cb += simd::kCenterBlock) {
             const std::size_t block = std::min(simd::kCenterBlock, nc - cb);
@@ -404,10 +365,7 @@ TEST_P(KernelEquivalence, TiledOracleStreamsMatchPerPairScalar) {
     for (auto& c : ps.mutable_point(i)) c = rng.uniform(-50.0, 50.0);
   }
 
-  std::vector<const KernelTable*> tables{simd::kernels_for(IsaLevel::Scalar)};
-  for (const IsaLevel level : simd_levels_available()) {
-    tables.push_back(simd::kernels_for(level));
-  }
+  const auto tables = tables_to_test();
 
   DistanceOracle reference(ps, kind);
   reference.force_kernels(simd::kernels_for(IsaLevel::Scalar));
@@ -466,10 +424,7 @@ TEST_P(KernelEquivalence, TiledOracleStreamsMatchPerPairScalar) {
 // a multiple of the widest vector) never change the result.
 TEST_P(KernelEquivalence, SoaFoldMatchesScalarAndPaddingIsInert) {
   const KernelTable* scalar = simd::kernels_for(IsaLevel::Scalar);
-  std::vector<const KernelTable*> tables{scalar};
-  for (const IsaLevel level : simd_levels_available()) {
-    tables.push_back(simd::kernels_for(level));
-  }
+  const auto tables = tables_to_test();
   const auto m = static_cast<std::size_t>(GetParam());
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   constexpr double kGuard = -1.0e9;  // would win the min if ever read

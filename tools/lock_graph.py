@@ -8,9 +8,11 @@ tool reads the sources of the concurrent core and derives, per
 function, which mutexes are held when another is acquired and which
 calls happen under a lock. It understands the repo's locking idiom
 (compat::LockGuard / compat::MutexLock guards, KC_REQUIRES on the
-definition, MutexLock::unlock() mid-scope) and nothing else; it
-follows unqualified and this-> calls only, not calls through another
-object (resolving the receiver's type needs a compiler). It joins
+definition, MutexLock::unlock() mid-scope) and nothing else. It
+follows unqualified and this-> calls, and `recv->m()` / `recv.m()`
+when recv is declared in the scanned sources as T, T*, T&,
+std::unique_ptr<T> or std::shared_ptr<T> of a scanned class T that
+defines an acquiring m; other receivers share only a name. It joins
 those facts into one lock-order graph, closes the graph over the call
 facts (an edge A -> B also exists when a function is called with A held
 and that function, transitively, may acquire B), fails on any cycle
@@ -79,6 +81,11 @@ MUTEX_DECL_RE = re.compile(r"(?:kc::)?compat::Mutex\s+(\w+)\s*;")
 # the joined declaration line once its opening brace arrives.
 FUNC_NAME_RE = re.compile(r"([\w~]+(?:::[\w~]+)*)\s*\($")
 UNLOCK_RE = re.compile(r"\b(\w+)\.unlock\(\)")
+# A declaration as T, T*, T&, std::unique_ptr<T> or std::shared_ptr<T>:
+# group 1 or 2 is T (possibly not a class), group 3 the declared name.
+DECL_RE = re.compile(
+    r"(?:\bstd::(?:unique_ptr|shared_ptr)<\s*(?:const\s+)?(?:\w+::)*(\w+)\s*>"
+    r"|\b(?:\w+::)*(\w+))\s*[*&]?\s*([A-Za-z_]\w*)\s*[;=,(){\[]")
 
 
 def strip_comments(text: str) -> str:
@@ -200,15 +207,20 @@ class MutexIndex:
 
 
 def extract_file(path: Path, index: MutexIndex,
-                 acquirer_names: set[str] | None) -> Facts:
-    """One file's facts, via brace-scope tracking of guard lifetimes."""
+                 acquirer_names: set[str] | None,
+                 through: dict[str, set[str]] | None = None) -> Facts:
+    """One file's facts, via brace-scope tracking of guard lifetimes.
+    `through` maps a receiver name to the acquiring methods it reaches."""
     facts = Facts()
     text = strip_comments(path.read_text(encoding="utf-8", errors="replace"))
     lines = text.splitlines()
+    through = through or {}
 
     depth = 0
     func: str | None = None
     func_depth = 0
+    classes: list[tuple[str, int]] = []  # open class bodies: (name, depth)
+    pending_class: str | None = None
     # Guards held right now: (canonical mutex, guard var, depth declared).
     held: list[tuple[str, str, int]] = []
     pending_sig = ""  # joined decl text while looking for a '{'
@@ -221,6 +233,9 @@ def extract_file(path: Path, index: MutexIndex,
             pending_sig = (pending_sig + " " + code).strip()
             if ";" in code and "{" not in code:
                 pending_sig = ""
+            cm = CLASS_RE.match(code)
+            if cm and "{" not in code and ";" not in code:
+                pending_class = cm.group(1)
             if "{" in code:
                 sig = pending_sig.split("{")[0]
                 # KC_REQUIRES on the definition: held on entry.
@@ -239,9 +254,15 @@ def extract_file(path: Path, index: MutexIndex,
                 kw_blocklist = {"if", "for", "while", "switch", "catch",
                                 "return", "sizeof", "alignof", "decltype"}
                 if name and name.split("::")[-1] not in kw_blocklist:
+                    if "::" not in name and classes:
+                        name = f"{classes[-1][0]}::{name}"
                     func = name
                     func_depth = depth
                     held = [(mx, "<entry>", depth) for mx in entry_held]
+                elif cm or pending_class:
+                    classes.append((cm.group(1) if cm else pending_class,
+                                    depth))
+                pending_class = None
                 pending_sig = ""
         else:
             gm = GUARD_RE.search(code)
@@ -258,20 +279,25 @@ def extract_file(path: Path, index: MutexIndex,
                 if um:
                     held = [h for h in held if h[1] != um.group(1)]
                 # Call facts: a call to a known acquiring function while
-                # holding something. Restricted to unqualified and
-                # this-> calls — a call through some other object
-                # (x.wait(), items_.size()) shares only a method *name*
-                # with an acquirer, and resolving the receiver's type
-                # needs a compiler.
+                # holding something. Unqualified and this-> calls go by
+                # name; a member call only when its receiver's declared
+                # class defines an acquiring method of that name — a
+                # call through some other object (x.wait(),
+                # items_.size()) shares only the name with an acquirer.
                 if held and acquirer_names:
+                    own = func.split("::")[-1]
                     for cm in re.finditer(r"([A-Za-z_]\w*)\s*\(", code):
                         callee = cm.group(1)
                         before = code[:cm.start()].rstrip()
-                        if before.endswith(".") or before.endswith("->"):
-                            if not re.search(r"\bthis\s*->$", before):
-                                continue
-                        if callee in acquirer_names and \
-                                callee != func.split("::")[-1]:
+                        recv = re.search(r"(\w+)\s*(?:\.|->)$", before)
+                        if before.endswith((".", "->")) and not (
+                                recv and recv.group(1) == "this"):
+                            follow = recv is not None and \
+                                callee in through.get(recv.group(1), ())
+                        else:
+                            follow = callee in acquirer_names and \
+                                callee != own
+                        if follow:
                             facts.calls.append(Call(
                                 func, callee, sorted({h for h, _, _ in held}),
                                 lineno))
@@ -279,6 +305,8 @@ def extract_file(path: Path, index: MutexIndex,
         opens = line.count("{")
         closes = line.count("}")
         depth += opens - closes
+        while classes and depth <= classes[-1][1]:
+            classes.pop()
         if func is not None:
             held = [h for h in held if h[2] <= depth]
             if depth <= func_depth:
@@ -301,26 +329,40 @@ def cxx_files(roots: list[Path]) -> list[Path]:
 
 def extract_tree(roots: list[Path], repo_root: Path) -> dict[str, Facts]:
     files = cxx_files(roots)
+    texts = {path: strip_comments(
+        path.read_text(encoding="utf-8", errors="replace")) for path in files}
     index = MutexIndex()
     for path in files:
-        index.scan(path, strip_comments(
-            path.read_text(encoding="utf-8", errors="replace")))
+        index.scan(path, texts[path])
 
     # Pass 1.5: which unqualified function names acquire a guard in
     # their body? Used to emit call facts only where they can matter.
     # Names defined more than once stay indexed (build_graph unions the
     # may-acquire sets, over-approximating — safe for a cycle gate on a
-    # tree whose method names are distinct per class).
+    # tree whose method names are distinct per class), and per class.
     acquirer_names: set[str] = set()
+    acquiring: dict[str, set[str]] = {}  # class -> acquiring methods
     for path in files:
         for a in extract_file(path, index, None).acquisitions:
-            acquirer_names.add(a.function.split("::")[-1])
+            parts = a.function.split("::")
+            acquirer_names.add(parts[-1])
+            if len(parts) > 1:
+                acquiring.setdefault(parts[-2], set()).add(parts[-1])
+
+    # Receivers declared as one of those classes, by name across the
+    # sources (several classes per name union, like may-acquire).
+    through: dict[str, set[str]] = {}
+    for path in files:
+        for m in DECL_RE.finditer(texts[path]):
+            cls = m.group(1) or m.group(2)
+            if cls in acquiring:
+                through.setdefault(m.group(3), set()).update(acquiring[cls])
 
     out: dict[str, Facts] = {}
     for path in files:
         rel = path.relative_to(repo_root).as_posix() if path.is_relative_to(
             repo_root) else path.as_posix()
-        out[rel] = extract_file(path, index, acquirer_names)
+        out[rel] = extract_file(path, index, acquirer_names, through)
     return out
 
 
