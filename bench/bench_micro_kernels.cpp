@@ -209,9 +209,9 @@ enum class PruneShape {
 
 /// Effective cost of one full k-center scan through the oracle: wall
 /// time divided by all n*k pairs, whether evaluated or skipped. Pruned
-/// cells use the ordered-domain scans (best[] in cell order, no
-/// per-cell gather/scatter); their values are bit-identical to the
-/// unpruned cell's modulo the known permutation, so any gap in
+/// cells use the ordered scans (best[] in cell order); their values
+/// are bit-identical to the unpruned cell's modulo the known
+/// permutation, so any gap in
 /// effective ns/pair is pure pruning win. All shapes scan GON-selected
 /// centers — the realistic sweep sequence, where each new center
 /// approaches from an unexplored direction (the adversarial case for

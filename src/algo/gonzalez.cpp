@@ -34,50 +34,23 @@ GonzalezResult gonzalez(const DistanceOracle& oracle,
   // all_indices(), so the sweep takes the contiguous fast path and
   // streams PointSet rows without the ids gather.
   //
+  // When the scan covers the oracle's whole point set and a grid index
+  // is bound, best[] is kept in *cell order* (the oracle's ordered
+  // scans), so pruned sweeps fold kernels into contiguous slices.
   // Gonzalez is exactly the shape PruneCache exists for: k sweeps over
   // one best[] array that only ever tightens, so per-cell bounds from
   // sweep t keep pruning sweep t+1 without an O(n) re-derivation. The
-  // cache lives and dies with best[] right here, per its contract. When
-  // the oracle's index covers the full subset we go one step further
-  // and keep best[] in *cell order* (the oracle's ordered scans), so
-  // pruned sweeps fold kernels into contiguous slices with no per-cell
-  // gather/scatter. The values are bit-identical either way; only the
-  // argmax needs care, because the unpruned argmax breaks value ties on
-  // the smallest id and the permuted scan order would break them on
-  // grid position instead.
+  // cache lives and dies with best[] right here, per its contract. The
+  // values are bit-identical in either domain; only the argmax needs
+  // care, because the id-order argmax breaks value ties on the smallest
+  // id and the permuted order would break them on grid position.
   std::vector<double> best(n, kInfDist);
-  const bool full_range =
-      n == oracle.points().size() && pts.front() == 0 &&
-      simd::is_contiguous_run(pts.data(), pts.size());
-  const bool ordered = full_range && oracle.ordered_scans_available();
+  const bool ordered = oracle.ordered_scans_available(pts);
   std::optional<PruneCache> cache;
-  if (oracle.pruning_enabled() && oracle.spatial_index() != nullptr) {
-    cache.emplace(*oracle.spatial_index());
-  }
-  PruneCache* cptr = cache ? &*cache : nullptr;
-  const std::span<const index_t> order =
-      ordered ? oracle.spatial_index()->order() : std::span<const index_t>{};
-
-  // The far point for the next center, given the first-of-ties argmax
-  // position: in the ordered domain ties must still resolve to the
-  // smallest point id, exactly like the id-order argmax. The tie sweep
-  // is a vectorizable equality count first, so the common no-tie case
-  // costs one extra streaming pass only.
-  const auto far_point = [&](std::size_t pos) -> index_t {
-    if (!ordered) return pts[pos];
-    const double v = best[pos];
-    index_t id = order[pos];
-    std::size_t ties = 0;
-    for (std::size_t j = pos + 1; j < n; ++j) {
-      ties += best[j] == v ? 1 : 0;
-    }
-    if (ties > 0) {
-      for (std::size_t j = pos + 1; j < n; ++j) {
-        if (best[j] == v && order[j] < id) id = order[j];
-      }
-    }
-    return id;
-  };
+  if (ordered) cache.emplace(*oracle.spatial_index());
+  // ids[j] is the point whose distance best[j] holds.
+  const std::span<const index_t> ids =
+      ordered ? oracle.spatial_index()->order() : pts;
 
   index_t current = pts[first_pos];
   result.centers.push_back(current);
@@ -85,14 +58,15 @@ GonzalezResult gonzalez(const DistanceOracle& oracle,
 
   for (std::size_t step = 1; step <= centers_wanted; ++step) {
     if (ordered) {
-      oracle.update_nearest_ordered(current, best, cptr);
+      oracle.update_nearest_ordered(current, best, &*cache);
     } else {
-      oracle.update_nearest(pts, current, best, cptr);
+      oracle.update_nearest(pts, current, best);
     }
     if (step == centers_wanted) break;
-    const std::size_t far_pos = argmax(best);
+    const std::size_t far_pos =
+        ordered ? argmax_smallest_id(best, ids) : argmax(best);
     result.greedy_radii_comparable.push_back(best[far_pos]);
-    current = far_point(far_pos);
+    current = ids[far_pos];
     result.centers.push_back(current);
   }
 

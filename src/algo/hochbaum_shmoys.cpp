@@ -127,9 +127,15 @@ KCenterResult hochbaum_shmoys(const DistanceOracle& oracle,
   }
 
   // Report the solution's actual covering radius over pts (one
-  // center-blocked pass instead of one sweep per center).
+  // center-blocked pass instead of one sweep per center), on the grid
+  // when pts is the whole indexed point set: a maximum does not depend
+  // on the order of best[].
   std::vector<double> best(pts.size(), kInfDist);
-  oracle.update_nearest_multi(pts, result.centers, best);
+  if (oracle.ordered_scans_available(pts)) {
+    oracle.update_nearest_multi_ordered(result.centers, best);
+  } else {
+    oracle.update_nearest_multi(pts, result.centers, best);
+  }
   result.radius_comparable = best[argmax(std::span<const double>(best))];
   return result;
 }

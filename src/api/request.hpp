@@ -84,8 +84,9 @@ struct SolveRequest {
   std::uint64_t seed = 1;
 
   /// Spatial pruning of the bulk distance scans (geom/spatial_index.hpp).
-  /// Auto builds a grid index and routes full scans through cell-pruned
-  /// paths when the instance is likely to profit (low dimension, enough
+  /// Auto builds a grid index, over which whole-set scans (GON's sweeps,
+  /// the offline evaluation, HS's radius pass) run as cell-pruned ordered
+  /// scans, when the instance is likely to profit (low dimension, enough
   /// points — see Solver), and also turns on EIM's sample boxes, at any
   /// dim; On forces the index regardless; Off keeps the exact pre-index
   /// code path, as does the KC_FORCE_NO_PRUNE environment variable.

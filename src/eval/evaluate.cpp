@@ -5,6 +5,7 @@
 
 #include "exec/backend.hpp"
 #include "exec/chunk_context.hpp"
+#include "geom/spatial_index.hpp"
 
 namespace kc::eval {
 
@@ -28,14 +29,25 @@ Evaluation covering_radius(const DistanceOracle& oracle,
     throw std::invalid_argument("covering_radius: empty centers");
   }
 
+  // Over the whole indexed point set the scan runs in cell order, where
+  // the grid prunes it; pts is then in id order, so the smallest id
+  // among the maxima is the one the id-order argmax would find first.
+  const bool ordered = oracle.ordered_scans_available(pts);
+  const std::span<const index_t> ids =
+      ordered ? oracle.spatial_index()->order() : pts;
   std::vector<double> best(pts.size(), kInfDist);
-  oracle.update_nearest_multi(pts, centers, best);
-  const std::size_t best_pos = argmax(best);
+  if (ordered) {
+    oracle.update_nearest_multi_ordered(centers, best);
+  } else {
+    oracle.update_nearest_multi(pts, centers, best);
+  }
+  const std::size_t best_pos =
+      ordered ? argmax_smallest_id(best, ids) : argmax(best);
 
   Evaluation out;
   out.radius_comparable = best[best_pos];
   out.radius = oracle.to_reported(best[best_pos]);
-  out.witness = pts[best_pos];
+  out.witness = ids[best_pos];
   return out;
 }
 
@@ -50,10 +62,9 @@ std::vector<std::uint32_t> assign_clusters(const DistanceOracle& oracle,
 
   // Streams point-rows x center-columns tiles out of the tiled pairwise
   // engine and folds a per-row first-wins strict-< argmin. Center tiles
-  // arrive in ascending order, so the fold makes the same decisions as
-  // the old per-point nearest_center loop — on bit-identical distances
-  // (the tile kernel's contract) — without a scalar pair call per
-  // (point, center).
+  // arrive in ascending order, so each point gets the first of its
+  // nearest centers — on bit-identical distances (the tile kernel's
+  // contract) — without a scalar pair call per (point, center).
   std::vector<double> best(pts.size(), kInfDist);
   const auto fold_from = [&assignment, &best](std::size_t base) {
     return [&assignment, &best, base](std::size_t i0, std::size_t j0,

@@ -28,9 +28,13 @@ struct Evaluation {
   index_t witness = 0;       ///< a point attaining the radius
 };
 
-/// Max over `pts` of the distance to the nearest of `centers`. One
-/// update_nearest_multi scan, so a bound executor shards it (gated or
-/// not) exactly like the solve-path kernels.
+/// Max over `pts` of the distance to the nearest of `centers`, with the
+/// earliest point of `pts` attaining it as the witness. One
+/// center-blocked scan, so a bound executor shards it (gated or not)
+/// exactly like the solve-path kernels: update_nearest_multi_ordered,
+/// pruned on the grid, when the oracle's ordered_scans_available(pts)
+/// (a stop then raises under that label), else update_nearest_multi.
+/// The radius bits and the witness are the same either way.
 [[nodiscard]] Evaluation covering_radius(const DistanceOracle& oracle,
                                          std::span<const index_t> pts,
                                          std::span<const index_t> centers);

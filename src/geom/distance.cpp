@@ -240,40 +240,33 @@ std::string_view to_string(PruneMode mode) noexcept {
   return "?";
 }
 
-bool DistanceOracle::pruning_enabled() const noexcept {
-  return index_ != nullptr && prune_mode_ != PruneMode::Off &&
-         !force_no_prune_requested();
-}
-
 bool DistanceOracle::sample_boxes_enabled() const noexcept {
   return prune_mode_ != PruneMode::Off && !force_no_prune_requested();
 }
 
-bool DistanceOracle::ordered_scans_available() const noexcept {
-  return pruning_enabled() && &index_->points() == points_ &&
+bool DistanceOracle::ordered_domain() const noexcept {
+  return index_ != nullptr && prune_mode_ != PruneMode::Off &&
+         !force_no_prune_requested() && &index_->points() == points_ &&
          points_->size() > 0;
+}
+
+bool DistanceOracle::ordered_scans_available(
+    std::span<const index_t> ids) const noexcept {
+  return ordered_domain() && ids.size() == points_->size() &&
+         ids.front() == 0 && simd::is_contiguous_run(ids.data(), ids.size());
 }
 
 void DistanceOracle::update_nearest_ordered(index_t center,
                                             std::span<double> best_ordered,
                                             PruneCache* cache) const {
   const index_t one[1] = {center};
-  pruned_scan({one, 1}, best_ordered, cache, /*ordered=*/true,
-              "update_nearest_ordered");
+  pruned_scan({one, 1}, best_ordered, cache, "update_nearest_ordered");
 }
 
 void DistanceOracle::update_nearest_multi_ordered(
     std::span<const index_t> centers, std::span<double> best_ordered,
     PruneCache* cache) const {
-  pruned_scan(centers, best_ordered, cache, /*ordered=*/true,
-              "update_nearest_multi_ordered");
-}
-
-bool DistanceOracle::prune_applicable(
-    std::span<const index_t> ids) const noexcept {
-  return pruning_enabled() && &index_->points() == points_ && !ids.empty() &&
-         ids.size() == points_->size() && ids.front() == 0 &&
-         simd::is_contiguous_run(ids.data(), ids.size());
+  pruned_scan(centers, best_ordered, cache, "update_nearest_multi_ordered");
 }
 
 double DistanceOracle::comparable(index_t a, index_t b) const noexcept {
@@ -292,9 +285,8 @@ double DistanceOracle::from_reported(double dist) const noexcept {
 
 void DistanceOracle::pruned_scan(std::span<const index_t> centers,
                                  std::span<double> best, PruneCache* cache,
-                                 bool ordered, std::string_view where) const {
-  if (ordered &&
-      (!ordered_scans_available() || best.size() != points_->size())) {
+                                 std::string_view where) const {
+  if (!ordered_domain() || best.size() != points_->size()) {
     throw std::logic_error(std::string(where) +
                            ": no matching spatial index bound (check "
                            "ordered_scans_available())");
@@ -324,58 +316,46 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
   }
   bool all_inf = false;
   if (!cached || !cache->primed()) {
-    if (ordered) {
-      // Fresh scans (the GON first sweep, cold select rounds) are all
-      // infinite — one branch-free vectorizable pass detects that and
-      // skips the per-cell maxima entirely.
-      all_inf = n > 0;
-      for (std::size_t i = 0; i < n && all_inf; i += 1024) {
-        const std::size_t e = std::min(n, i + 1024);
-        bool chunk_inf = true;
-        for (std::size_t j = i; j < e; ++j) {
-          chunk_inf = chunk_inf && best[j] == kInfDist;
-        }
-        all_inf = chunk_inf;
+    // Fresh scans (the GON first sweep, the covering radius) are all
+    // infinite — one branch-free vectorizable pass detects that and
+    // skips the per-cell maxima entirely.
+    all_inf = true;
+    for (std::size_t i = 0; i < n && all_inf; i += 1024) {
+      const std::size_t e = std::min(n, i + 1024);
+      bool chunk_inf = true;
+      for (std::size_t j = i; j < e; ++j) {
+        chunk_inf = chunk_inf && best[j] == kInfDist;
       }
-      if (all_inf) {
-        std::fill(ub.begin(), ub.end(), kInfDist);
-      } else {
-        // Ordered best: each cell is a contiguous slice, so priming is
-        // a straight max per slice.
-        for (std::size_t c = 0; c < ncells; ++c) {
-          const std::size_t sz = idx.cell_size(c);
-          ub[c] = sz > 0 ? max_of(best.data() + idx.cell_begin(c), sz) : 0.0;
-        }
-      }
+      all_inf = chunk_inf;
+    }
+    if (all_inf) {
+      std::fill(ub.begin(), ub.end(), kInfDist);
     } else {
-      std::fill(ub.begin(), ub.end(), 0.0);
-      for (std::size_t i = 0; i < n; ++i) {
-        double& u = ub[idx.cell_of(static_cast<index_t>(i))];
-        if (best[i] > u) u = best[i];
+      // Each cell is a contiguous slice, so priming is a straight max
+      // per slice.
+      for (std::size_t c = 0; c < ncells; ++c) {
+        ub[c] = max_of(best.data() + idx.cell_begin(c), idx.cell_size(c));
       }
     }
     if (cached) cache->set_primed();
   }
 
-  // Cold ordered scans (best all infinite, the GON first sweep and the
-  // EIM cold select round): no bound can prune the first center block
-  // anywhere, so fold it over whole contiguous row ranges at full
+  // Cold scans (best all infinite): no bound can prune the first center
+  // block anywhere, so fold it over whole contiguous row ranges at full
   // blocked-kernel speed instead of dispatching cell by cell. Later
   // blocks then prune against the bounds this pass leaves behind.
-  const std::size_t nb0 =
-      ordered && all_inf ? std::min(k, simd::kCenterBlock) : 0;
+  const std::size_t nb0 = all_inf ? std::min(k, simd::kCenterBlock) : 0;
 
   const exec::ChunkContext* gate_ctx = gating(ctx_) ? ctx_ : nullptr;
   ScanTally tally;
 
   const exec::ExecutionBackend::RangeBody body = [&](std::size_t clo,
                                                      std::size_t chi) {
-    std::vector<double> tmp;
     const double* cptr[simd::kCenterBlock];
     ScanGate gate(gate_ctx, tally);
     bool stopped = false;
 
-    // Global pass for cold ordered scans: the chunk's cells occupy one
+    // Global pass for cold scans: the chunk's cells occupy one
     // contiguous row range, and best is in the same order, so the first
     // block streams it exactly like the unpruned blocked kernel.
     if (nb0 > 0) {
@@ -404,17 +384,9 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
       if (gate.stopped()) break;
       const std::size_t base = idx.cell_begin(c);
       const std::size_t sz = idx.cell_size(c);
-      // Ordered scans fold straight into the caller's slice; id-domain
-      // scans stage through tmp (gather/scatter around the kernel).
-      double* tmpp = ordered ? best.data() + base : nullptr;
-      double ubc;
-      if (nb0 > 0) {
-        // Seed the bound from the global pass's results.
-        ubc = max_of(tmpp, sz);
-      } else {
-        ubc = ub[c];
-      }
-      bool gathered = false;
+      double* slice = best.data() + base;
+      // After a global pass, seed the bound from its results.
+      double ubc = nb0 > 0 ? max_of(slice, sz) : ub[c];
       std::size_t pos = nb0;
       while (pos < k && !stopped) {
         // Next block of surviving centers, in ascending center order —
@@ -431,13 +403,6 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
           ++pos;
         }
         if (nb == 0) continue;
-        if (!ordered && !gathered) {
-          tmp.resize(sz);
-          const index_t* ord = idx.order().data() + base;
-          for (std::size_t j = 0; j < sz; ++j) tmp[j] = best[ord[j]];
-          tmpp = tmp.data();
-        }
-        gathered = true;
         // Giant cells (duplicate-heavy data) are gated in row
         // sub-ranges so one kernel call never overruns a stop by more
         // than ~kGateEvals pairs.
@@ -450,7 +415,7 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
             break;
           }
           kernels_->nearest_multi_contig[m](idx.rows() + (base + r) * d, d,
-                                            re - r, cptr, nb, tmpp + r);
+                                            re - r, cptr, nb, slice + r);
         }
         if (stopped) break;
         // Refresh the bound from the just-tightened values so the
@@ -458,15 +423,9 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
         // fresh best == kInfDist scan (ub starts infinite) prune every
         // block after the first. After the last block the max only
         // matters when the bounds outlive this scan in a cache.
-        if (pos < k || cached) ubc = max_of(tmpp, sz);
+        if (pos < k || cached) ubc = max_of(slice, sz);
       }
-      if (!stopped && (ordered || gathered)) {
-        if (!ordered && gathered) {
-          const index_t* ord = idx.order().data() + base;
-          for (std::size_t j = 0; j < sz; ++j) best[ord[j]] = tmp[j];
-        }
-        ub[c] = ubc;
-      }
+      if (!stopped) ub[c] = ubc;
       if (!gate.poll()) stopped = true;
     }
     gate.settle();
@@ -488,29 +447,23 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
 }
 
 void DistanceOracle::update_nearest(std::span<const index_t> ids,
-                                    index_t center, std::span<double> best,
-                                    PruneCache* cache) const {
+                                    index_t center,
+                                    std::span<double> best) const {
   const index_t one[1] = {center};
-  nearest_scan(ids, {one, 1}, best, cache, "update_nearest");
+  nearest_scan(ids, {one, 1}, best, "update_nearest");
 }
 
 void DistanceOracle::update_nearest_multi(std::span<const index_t> ids,
                                           std::span<const index_t> centers,
-                                          std::span<double> best,
-                                          PruneCache* cache) const {
+                                          std::span<double> best) const {
   if (ids.empty() || centers.empty()) return;
-  nearest_scan(ids, centers, best, cache, "update_nearest_multi");
+  nearest_scan(ids, centers, best, "update_nearest_multi");
 }
 
 void DistanceOracle::nearest_scan(std::span<const index_t> ids,
                                   std::span<const index_t> centers,
-                                  std::span<double> best, PruneCache* cache,
+                                  std::span<double> best,
                                   std::string_view where) const {
-  if (prune_applicable(ids)) {
-    pruned_scan(centers, best, cache, /*ordered=*/false, where);
-    return;
-  }
-  if (cache != nullptr) cache->invalidate();
   // One bulk charge for the whole ids x centers batch, to the calling
   // thread up front, so a sharded execution attributes work exactly as
   // a sequential one.
@@ -644,30 +597,6 @@ void DistanceOracle::update_nearest_grouped(std::span<const index_t> ids,
     body(0, ids.size());
   }
   tally.finish(d, "update_nearest_grouped");
-}
-
-double DistanceOracle::nearest_comparable(
-    index_t p, std::span<const index_t> centers) const noexcept {
-  double best = kInfDist;
-  for (const index_t c : centers) {
-    const double d = comparable(p, c);
-    if (d < best) best = d;
-  }
-  return best;
-}
-
-std::size_t DistanceOracle::nearest_center(
-    index_t p, std::span<const index_t> centers) const noexcept {
-  double best = kInfDist;
-  std::size_t best_pos = centers.size();
-  for (std::size_t i = 0; i < centers.size(); ++i) {
-    const double d = comparable(p, centers[i]);
-    if (d < best) {
-      best = d;
-      best_pos = i;
-    }
-  }
-  return best_pos;
 }
 
 namespace {
@@ -831,6 +760,23 @@ std::vector<double> DistanceOracle::pairwise_comparable(
 
 std::size_t argmax(std::span<const double> values) noexcept {
   return simd::active_kernels().argmax(values.data(), values.size());
+}
+
+std::size_t argmax_smallest_id(std::span<const double> values,
+                               std::span<const index_t> ids) noexcept {
+  std::size_t pos = argmax(values);
+  const double v = values[pos];
+  // A vectorizable equality count first, so the common no-tie case
+  // costs one extra streaming pass only.
+  std::size_t ties = 0;
+  for (std::size_t j = pos + 1; j < values.size(); ++j) {
+    ties += values[j] == v ? 1 : 0;
+  }
+  if (ties == 0) return pos;
+  for (std::size_t j = pos + 1; j < values.size(); ++j) {
+    if (values[j] == v && ids[j] < ids[pos]) pos = j;
+  }
+  return pos;
 }
 
 }  // namespace kc

@@ -41,8 +41,8 @@ class SampleBoxes;
 /// O(n * dim) work of the scan itself.
 inline constexpr std::size_t kShardMinItems = std::size_t{1} << 14;
 
-/// Whether the oracle may skip provably irrelevant pairs: full scans
-/// through a bound spatial index's cell-pruned path, and EIM's
+/// Whether the oracle may skip provably irrelevant pairs: whole-set
+/// scans through a bound spatial index's ordered scans, and EIM's
 /// nearest-sample scans through sample boxes (geom/spatial_index.hpp).
 enum class PruneMode {
   Off,   ///< never prune; the exact pre-index code path
@@ -123,15 +123,18 @@ class DistanceOracle {
   }
 
   /// Binds (or, with nullptr, unbinds) a spatial index built over this
-  /// oracle's PointSet. With an index bound and `mode` not Off, the
-  /// bulk kernels route full-range scans (ids == all point indices)
-  /// through cell-pruned scans that skip whole grid cells the triangle
-  /// inequality proves irrelevant — bit-identical results, with the
-  /// skipped pairs charged to counters as pruned_pairs instead of
-  /// distance_evals. Partial-range scans, a mismatched index, or the
-  /// KC_FORCE_NO_PRUNE environment variable fall back to the exact
-  /// unpruned path. The oracle does not own the index. The mode also
-  /// governs sample_boxes_enabled(), with or without an index.
+  /// oracle's PointSet. With an index bound and `mode` not Off, callers
+  /// whose scan covers the whole point set (GON's sweeps, the offline
+  /// covering radius, HS's radius pass) may run the ordered scans below,
+  /// which skip whole grid cells the triangle inequality proves
+  /// irrelevant — bit-identical values, with the skipped pairs charged
+  /// to counters as pruned_pairs instead of distance_evals; they ask
+  /// ordered_scans_available(ids) first. update_nearest and
+  /// update_nearest_multi never prune. A mismatched index or the
+  /// KC_FORCE_NO_PRUNE environment variable leaves no ordered scans,
+  /// so callers keep the exact id-order path. The oracle does not own
+  /// the index. The mode also governs sample_boxes_enabled(), with or
+  /// without an index.
   void bind_index(const SpatialIndex* index,
                   PruneMode mode = PruneMode::Auto) noexcept {
     index_ = index;
@@ -141,10 +144,6 @@ class DistanceOracle {
     return index_;
   }
   [[nodiscard]] PruneMode prune_mode() const noexcept { return prune_mode_; }
-
-  /// True when the next full-range scan would take the pruned path
-  /// (index bound, mode permits, env does not veto).
-  [[nodiscard]] bool pruning_enabled() const noexcept;
 
   /// True when callers may route nearest-sample scans through sample
   /// boxes (update_nearest_grouped): the mode is not Off and
@@ -178,32 +177,22 @@ class DistanceOracle {
 
   /// best[i] = min(best[i], comparable(ids[i], center)) for all i.
   /// This is the workhorse of Gonzalez's algorithm and of the EIM
-  /// incremental d(x, S) maintenance. Returns nothing; work counters
-  /// record ids.size() pair evaluations (with a pruned scan, evaluated
-  /// plus pruned pairs sum to that). With a bound armed context, throws
-  /// CancelledError / BudgetExceededError within one gate chunk of a
-  /// stop condition.
-  ///
-  /// `cache` (optional) carries per-cell bounds across a sequence of
-  /// pruned full-range scans that share one best array — see
-  /// PruneCache's lifetime contract. Ignored on the unpruned path.
+  /// incremental d(x, S) maintenance. An exact id-order scan that never
+  /// prunes: work counters record ids.size() pair evaluations. With a
+  /// bound armed context, throws CancelledError / BudgetExceededError
+  /// within one gate chunk of a stop condition.
   void update_nearest(std::span<const index_t> ids, index_t center,
-                      std::span<double> best,
-                      PruneCache* cache = nullptr) const;
+                      std::span<double> best) const;
 
   /// best[i] = min over c in centers of comparable(ids[i], c), folded
   /// into the existing best[i]. Bit-identical to repeated
   /// update_nearest, but tiles centers in blocks of simd::kCenterBlock
   /// so each streaming pass over the points folds several centers per
   /// load of best/ids — ~4x less memory traffic for EIM's select-round
-  /// batches. Context-gated like update_nearest, and takes the same
-  /// cell-pruned path on full-range scans (within one call the cell
-  /// bounds tighten block by block, so late center blocks prune against
-  /// the early blocks' results even when best starts at kInfDist).
+  /// batches. Exact and context-gated like update_nearest.
   void update_nearest_multi(std::span<const index_t> ids,
                             std::span<const index_t> centers,
-                            std::span<double> best,
-                            PruneCache* cache = nullptr) const;
+                            std::span<double> best) const;
 
   /// update_nearest_multi against the centers of `boxes`, skipping the
   /// groups that provably cannot win: per point, the box distances
@@ -226,37 +215,35 @@ class DistanceOracle {
                               const SampleBoxes& boxes,
                               std::span<double> best) const;
 
-  /// True when the cell-order scans below may be called: pruning is
-  /// enabled and the bound index covers this oracle's point set.
-  [[nodiscard]] bool ordered_scans_available() const noexcept;
+  /// True when a scan over `ids` may run as an ordered scan: `ids` is
+  /// the whole point set in id order (what all_indices() returns), an
+  /// index over this oracle's points is bound, the mode is not Off and
+  /// KC_FORCE_NO_PRUNE does not veto. Every caller that could prune
+  /// asks this, so none re-derives "whole set".
+  [[nodiscard]] bool ordered_scans_available(
+      std::span<const index_t> ids) const noexcept;
 
-  /// Cell-order ("ordered") variants of the two scans above, for hot
-  /// loops that keep their whole best array for the full point set:
-  /// element j of `best_ordered` belongs to point spatial_index()->
-  /// order()[j], so every grid cell is a contiguous slice and the
-  /// pruned scan folds kernels straight into it — no per-cell
-  /// gather/scatter of best, which otherwise costs as much as the
-  /// kernels themselves. The folded *values* are bit-identical to what
+  /// Cell-order ("ordered") variants of the two scans above, the only
+  /// scans that prune on the grid: element j of `best_ordered` belongs
+  /// to point spatial_index()->order()[j], so every grid cell is a
+  /// contiguous slice that the scan folds kernels straight into, and
+  /// skips when the cell's box is no nearer than the slice's maximum.
+  /// The folded *values* are bit-identical to what
   /// update_nearest(all_indices(), ...) leaves at the permuted
-  /// positions; counters and context gating behave identically. Callers
-  /// must check ordered_scans_available() first (throws
-  /// std::logic_error otherwise) and fall back to the id-domain scans —
+  /// positions; evaluated plus pruned pairs sum to its count, and
+  /// context gating behaves the same, under these scans' own labels.
+  /// Callers must check ordered_scans_available(ids) first (throws
+  /// std::logic_error otherwise) and fall back to the id-order scans —
   /// that is what keeps KC_FORCE_NO_PRUNE an exact-path switch.
+  ///
+  /// `cache` (optional) carries per-cell bounds across a sequence of
+  /// ordered scans that share one best array — see PruneCache's
+  /// lifetime contract.
   void update_nearest_ordered(index_t center, std::span<double> best_ordered,
                               PruneCache* cache = nullptr) const;
   void update_nearest_multi_ordered(std::span<const index_t> centers,
                                     std::span<double> best_ordered,
                                     PruneCache* cache = nullptr) const;
-
-  /// Comparable distance from point `p` to the nearest of `centers`
-  /// (kInfDist if centers is empty).
-  [[nodiscard]] double nearest_comparable(
-      index_t p, std::span<const index_t> centers) const noexcept;
-
-  /// Index (into `centers`) of the nearest center to p; returns
-  /// centers.size() if centers is empty.
-  [[nodiscard]] std::size_t nearest_center(
-      index_t p, std::span<const index_t> centers) const noexcept;
 
   /// Receives one dense tile of comparable distances from the tiled
   /// pairwise engine: `tile[r * ldt + c]` is the comparable distance
@@ -309,30 +296,25 @@ class DistanceOracle {
     return static_cast<std::size_t>(kind_);
   }
 
-  /// True when this exact scan qualifies for the cell-pruned path:
-  /// pruning enabled and `ids` is the full contiguous index range of
-  /// the indexed PointSet (partial scans keep the unpruned path — the
-  /// index's cell runs only tile the full set).
-  [[nodiscard]] bool prune_applicable(
-      std::span<const index_t> ids) const noexcept;
+  /// True when the ordered domain exists: pruning is permitted and the
+  /// bound index covers this oracle's non-empty point set.
+  [[nodiscard]] bool ordered_domain() const noexcept;
 
-  /// The id-domain scan behind update_nearest (a one-center span) and
-  /// update_nearest_multi: pruned_scan when prune_applicable(ids),
-  /// otherwise the unpruned blocked scan. A stop raises labelled `where`.
+  /// The exact id-order blocked scan behind update_nearest (a
+  /// one-center span) and update_nearest_multi. A stop raises labelled
+  /// `where`.
   void nearest_scan(std::span<const index_t> ids,
                     std::span<const index_t> centers, std::span<double> best,
-                    PruneCache* cache, std::string_view where) const;
+                    std::string_view where) const;
 
-  /// The cell-pruned scan body shared by update_nearest (one-center
-  /// span), update_nearest_multi and their ordered variants. With
-  /// `ordered`, `best` is in index order and folded in place (throws
-  /// std::logic_error labelled `where` unless ordered_scans_available()
-  /// and best covers the point set); otherwise it is in id order and
-  /// staged per cell. Charges evaluated and pruned pairs to the calling
-  /// thread's counters from what actually ran.
+  /// The cell-pruned scan body of both ordered scans: `best` is in the
+  /// index's cell order and folded in place (throws std::logic_error
+  /// labelled `where` unless ordered_domain() and best covers the point
+  /// set). Charges
+  /// evaluated and pruned pairs to the calling thread's counters from
+  /// what actually ran.
   void pruned_scan(std::span<const index_t> centers, std::span<double> best,
-                   PruneCache* cache, bool ordered,
-                   std::string_view where) const;
+                   PruneCache* cache, std::string_view where) const;
 
   const PointSet* points_;
   MetricKind kind_;
@@ -350,5 +332,14 @@ class DistanceOracle {
 /// non-empty and NaN-free (distance arrays always are). Vectorized via
 /// the active kernel table.
 [[nodiscard]] std::size_t argmax(std::span<const double> values) noexcept;
+
+/// Position of a maximum element of `values`, where values[j] belongs to
+/// point ids[j] (same length, non-empty, NaN-free): of the positions
+/// holding the maximum, the one with the smallest id. On a best[] in
+/// cell order this picks the point the id-order argmax picks, so GON's
+/// next center and the covering-radius witness do not depend on the
+/// scan's domain.
+[[nodiscard]] std::size_t argmax_smallest_id(
+    std::span<const double> values, std::span<const index_t> ids) noexcept;
 
 }  // namespace kc

@@ -163,7 +163,6 @@ class CellTable {
 SpatialIndex::SpatialIndex(const PointSet& points)
     : points_(&points), dim_(points.dim()) {
   const std::size_t n = points.size();
-  cell_of_.assign(n, 0);
   if (n == 0 || dim_ == 0) {
     order_.resize(n);
     std::iota(order_.begin(), order_.end(), index_t{0});
@@ -226,7 +225,8 @@ SpatialIndex::SpatialIndex(const PointSet& points)
   // first-seen order (coarsening may have given up above the cap, so
   // the table grows as needed). Ranking the distinct keys
   // lexicographically turns that into the cell order.
-  const std::size_t cells = table.assign(points, width, n, cell_of_.data());
+  std::vector<std::uint32_t> cell_of(n);
+  const std::size_t cells = table.assign(points, width, n, cell_of.data());
   std::vector<std::uint32_t> by_key(cells);
   std::iota(by_key.begin(), by_key.end(), std::uint32_t{0});
   const auto key_less = [&](std::uint32_t a, std::uint32_t b) {
@@ -240,7 +240,7 @@ SpatialIndex::SpatialIndex(const PointSet& points)
     cell_of_key[by_key[c]] = static_cast<std::uint32_t>(c);
   }
   cell_begin_.assign(cells + 1, 0);
-  for (std::uint32_t& c : cell_of_) {
+  for (std::uint32_t& c : cell_of) {
     c = cell_of_key[c];
     ++cell_begin_[c + 1];
   }
@@ -257,7 +257,7 @@ SpatialIndex::SpatialIndex(const PointSet& points)
   std::vector<std::size_t> next(cell_begin_.begin(), cell_begin_.end() - 1);
   const double* src = points.raw().data();
   for (std::size_t i = 0; i < n; ++i, src += dim_) {
-    const std::uint32_t cell = cell_of_[i];
+    const std::uint32_t cell = cell_of[i];
     const std::size_t j = next[cell]++;
     order_[j] = static_cast<index_t>(i);
     std::copy(src, src + dim_, rows_.data() + j * dim_);

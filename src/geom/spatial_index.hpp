@@ -5,8 +5,10 @@
 // Most of those pairs provably cannot change the result: once a point
 // has *some* nearby center, a candidate center far away loses every
 // comparison. This index makes that provable wholesale — per grid
-// cell, not per pair — so the hot scans can skip entire cells without
-// looking at a single coordinate inside them.
+// cell, not per pair — so the scans that cover the whole point set
+// (GON's sweeps, the offline covering radius, HS's radius pass) run as
+// the oracle's ordered scans and skip entire cells without looking at
+// a single coordinate inside them.
 //
 // Structure: points are snapped to a uniform grid (cell width
 // auto-tuned from a GON-style radius probe over the data), and the
@@ -18,9 +20,10 @@
 // members is stored.
 //
 // The pruning rule, Elkan-style via the triangle inequality: during an
-// update_nearest* scan, a cell's *upper bound* is the maximum of the
-// caller's current best[] over the cell's members. If a candidate
-// center's distance to the cell's bounding box is at least that bound,
+// ordered scan, best[] is laid out in order(), and a cell's *upper
+// bound* is the maximum of its contiguous slice of best[]. If a
+// candidate center's distance to the cell's bounding box is at least
+// that bound,
 // then for every member p: d(p, c) >= mindist(c, box) >= ub >= best[p],
 // so the min-fold is a no-op for the entire cell and the scan skips it,
 // charging the skipped pairs to counters::add_pruned_pairs instead of
@@ -138,10 +141,6 @@ class SpatialIndex {
   [[nodiscard]] std::size_t cell_size(std::size_t c) const noexcept {
     return cell_begin_[c + 1] - cell_begin_[c];
   }
-  /// Cell containing point `id`.
-  [[nodiscard]] std::uint32_t cell_of(index_t id) const noexcept {
-    return cell_of_[id];
-  }
 
   /// Coordinate rows in the permuted layout: row j (of point
   /// order()[j]) starts at rows() + j * dim(). Bitwise copies of the
@@ -171,23 +170,25 @@ class SpatialIndex {
   double width_ = 1.0;
   std::vector<index_t> order_;          ///< point ids, cell-major
   std::vector<std::size_t> cell_begin_; ///< cell_count() + 1 offsets
-  std::vector<std::uint32_t> cell_of_;  ///< per point id, its cell
   CoordStorage rows_;                   ///< permuted coordinate rows
   std::vector<double> bbox_;            ///< per cell: dim lows, dim highs
 };
 
-/// Per-cell cached upper bounds for a *sequence* of pruned scans that
+/// Per-cell cached upper bounds for a *sequence* of ordered scans that
 /// share one best[] array — the Gonzalez shape, where each round calls
-/// update_nearest with one new center on the same best[]. Skipped
-/// cells keep their cached bound (their best[] entries were not
+/// update_nearest_ordered with one new center on the same best[].
+/// Skipped cells keep their cached bound (their best[] entries were not
 /// touched); scanned cells refresh it from the values just written, so
 /// across the sequence no full re-derivation of the bounds is needed.
+/// After every completed scan that used the cache, bounds()[c] is
+/// exactly, bit for bit, the maximum of cell c's slice of best[].
 ///
 /// Lifetime contract: a cache is only valid while the paired best[]
-/// array exists, is only mutated through the oracle's pruned scans,
-/// and is never re-initialized. The oracle invalidates the cache
-/// whenever a call bypasses the pruned path, so a later pruned call
-/// re-primes from scratch rather than trusting stale bounds.
+/// array exists, is only mutated through the oracle's ordered scans
+/// given this cache, and is never re-initialized. The first scan that
+/// uses it primes it from best[]. A scan stopped by its context may
+/// leave a cell's bound above the slice's maximum: still a valid upper
+/// bound, no longer an exact one.
 class PruneCache {
  public:
   explicit PruneCache(const SpatialIndex& index)
@@ -195,7 +196,6 @@ class PruneCache {
 
   [[nodiscard]] const SpatialIndex* index() const noexcept { return index_; }
   [[nodiscard]] bool primed() const noexcept { return primed_; }
-  void invalidate() noexcept { primed_ = false; }
 
   /// Oracle-internal access to the per-cell bounds.
   [[nodiscard]] std::span<double> bounds() noexcept { return ub_; }

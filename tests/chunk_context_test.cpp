@@ -202,8 +202,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GatedScans,
 
 // A stopped scan's error names the public scan, as the CLI and service
 // print it. update_nearest runs update_nearest_multi's body, so each
-// keeps its own label, unpruned and cell-pruned (the latter unless
-// KC_FORCE_NO_PRUNE vetoes it; the labels hold on either path).
+// keeps its own label, with or without an index bound (neither prunes);
+// the ordered scans, the only pruned ones, carry their own labels too.
 TEST(GatedScanLabels, BudgetErrorsNameTheScanThatStopped) {
   Rng rng(14);
   const PointSet data = data::generate_gau(4096, 4, 2, 100.0, 0.5, rng);
@@ -213,28 +213,43 @@ TEST(GatedScanLabels, BudgetErrorsNameTheScanThatStopped) {
   DistanceOracle oracle(data);
   ChunkContext ctx;
   oracle.bind_context(&ctx);
-  const auto message = [&](bool multi) {
+  const auto message = [&](const auto& scan) {
     ctx.budget = std::make_shared<EvalBudget>(1);
     std::vector<double> best(ids.size(), kInfDist);
     try {
-      if (multi) {
-        oracle.update_nearest_multi(ids, centers, best);
-      } else {
-        oracle.update_nearest(ids, 0, best);
-      }
+      scan(best);
     } catch (const BudgetExceededError& e) {
       return std::string(e.what());
     }
     return std::string("no error");
   };
+  const auto one = [&](std::vector<double>& best) {
+    oracle.update_nearest(ids, 0, best);
+  };
+  const auto multi = [&](std::vector<double>& best) {
+    oracle.update_nearest_multi(ids, centers, best);
+  };
   const SpatialIndex* const bounds[] = {nullptr, &index};
   for (const SpatialIndex* bound : bounds) {
     oracle.bind_index(bound, PruneMode::On);
-    EXPECT_EQ(message(false),
+    EXPECT_EQ(message(one),
               "update_nearest: distance-evaluation budget exhausted");
-    EXPECT_EQ(message(true),
+    EXPECT_EQ(message(multi),
               "update_nearest_multi: distance-evaluation budget exhausted");
   }
+
+  if (!oracle.ordered_scans_available(ids)) {
+    GTEST_SKIP() << "KC_FORCE_NO_PRUNE leaves no ordered scans";
+  }
+  EXPECT_EQ(message([&](std::vector<double>& best) {
+              oracle.update_nearest_ordered(0, best);
+            }),
+            "update_nearest_ordered: distance-evaluation budget exhausted");
+  EXPECT_EQ(
+      message([&](std::vector<double>& best) {
+        oracle.update_nearest_multi_ordered(centers, best);
+      }),
+      "update_nearest_multi_ordered: distance-evaluation budget exhausted");
 }
 
 // ------------------------------------------------- facade acceptance bar

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "geom/spatial_index.hpp"
 #include "test_util.hpp"
 
 namespace kc::eval {
@@ -68,6 +71,69 @@ TEST(EvalOnSubstrate, PoolBoundMatchesUnboundBitForBit) {
   // One covering scan and one assignment pass per armed oracle.
   EXPECT_EQ(bound_ctx.budget->consumed(), unbound_ctx.budget->consumed());
   EXPECT_EQ(bound_ctx.budget->consumed(), 2u * ps.size() * centers.size());
+}
+
+// Under pruning the covering scan runs in the grid's cell order, where
+// the first maximum is the one in the lowest cell. The witness must
+// still be the smallest id among the maxima, as without an index.
+TEST(CoveringRadius, PrunedWitnessIsTheSmallestIdAmongTiedMaxima) {
+  // A 101 x 101 integer lattice numbered from its far corner, so id 0
+  // is (100, 100) and lies in the last cell. Nine centers on a 3 x 3
+  // grid leave the four lattice corners, in four different cells, tied
+  // farthest (under L1 and L2; Linf ties many more points).
+  constexpr int kSide = 101;
+  PointSet ps;
+  for (int x = kSide - 1; x >= 0; --x) {
+    for (int y = kSide - 1; y >= 0; --y) {
+      ps.push_back(std::vector<double>{static_cast<double>(x),
+                                       static_cast<double>(y)});
+    }
+  }
+  const auto id_of = [](int x, int y) {
+    return static_cast<index_t>((kSide - 1 - x) * kSide + (kSide - 1 - y));
+  };
+  std::vector<index_t> centers;
+  for (const int cx : {20, 50, 80}) {
+    for (const int cy : {20, 50, 80}) centers.push_back(id_of(cx, cy));
+  }
+  const auto all = ps.all_indices();
+  const SpatialIndex index(ps);
+  ASSERT_GT(index.cell_count(), 1u);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  for (const auto kind : {MetricKind::L2, MetricKind::L1, MetricKind::Linf}) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    const DistanceOracle unbound(ps, kind);
+    const Evaluation want = covering_radius(unbound, all, centers);
+
+    // The ties are real, and cell order lists another of them first.
+    std::vector<double> best(ps.size(), kInfDist);
+    unbound.update_nearest_multi(all, centers, best);
+    std::vector<index_t> tied;
+    for (const index_t id : index.order()) {
+      if (best[id] == want.radius_comparable) tied.push_back(id);
+    }
+    ASSERT_GT(tied.size(), 1u);
+    EXPECT_EQ(want.witness, *std::min_element(tied.begin(), tied.end()));
+    EXPECT_NE(tied.front(), want.witness);
+
+    for (const auto backend_kind :
+         {exec::BackendKind::Sequential, exec::BackendKind::ThreadPool}) {
+      SCOPED_TRACE(std::string(exec::to_string(backend_kind)));
+      const auto backend = exec::make_backend(backend_kind, 4);
+      DistanceOracle pruned(ps, kind);
+      pruned.bind_executor(backend.get(), /*min_items=*/256);
+      pruned.bind_index(&index, PruneMode::On);
+      const WorkScope work;
+      const Evaluation got = covering_radius(pruned, all, centers);
+      EXPECT_EQ(bits(got.radius_comparable), bits(want.radius_comparable));
+      EXPECT_EQ(bits(got.radius), bits(want.radius));
+      EXPECT_EQ(got.witness, want.witness);
+      if (!force_no_prune_requested()) {
+        EXPECT_GT(work.elapsed().pruned_pairs, 0u);
+      }
+    }
+  }
 }
 
 TEST(CoveringRadius, ValidatesInput) {

@@ -229,15 +229,19 @@ TEST(Distance, UpdateNearestOnlyImproves) {
   EXPECT_DOUBLE_EQ(best[0], 0.0);   // improved to zero
 }
 
-TEST(Distance, NearestComparableAndCenter) {
-  const PointSet ps{{0.0, 0.0}, {10.0, 0.0}, {2.0, 0.0}, {9.0, 0.0}};
-  const DistanceOracle d(ps);
-  const std::vector<index_t> centers{1, 2};
-  EXPECT_DOUBLE_EQ(d.nearest_comparable(0, centers), 4.0);
-  EXPECT_EQ(d.nearest_center(0, centers), 1u);  // index into centers
-  EXPECT_EQ(d.nearest_center(3, centers), 0u);
-  EXPECT_EQ(d.nearest_comparable(0, {}), kInfDist);
-  EXPECT_EQ(d.nearest_center(0, {}), 0u);
+TEST(Distance, ArgmaxSmallestIdBreaksTiesOnTheIds) {
+  const std::vector<double> values{1.0, 3.0, 2.0, 3.0, 3.0, 0.5};
+  // The maximum sits at positions 1, 3 and 4; position 3 has the
+  // smallest id.
+  const std::vector<index_t> ids{4, 9, 0, 7, 8, 1};
+  EXPECT_EQ(argmax_smallest_id(values, ids), 3u);
+  // Ascending ids: the first maximum, as argmax gives.
+  const std::vector<index_t> ascending{0, 1, 2, 3, 4, 5};
+  EXPECT_EQ(argmax_smallest_id(values, ascending), argmax(values));
+  // No tie: the one maximum, whatever the ids.
+  const std::vector<double> single{1.0, 2.0, 5.0, 2.0};
+  const std::vector<index_t> any{9, 0, 7, 1};
+  EXPECT_EQ(argmax_smallest_id(single, any), 2u);
 }
 
 TEST(Distance, PairwiseComparableIsSymmetricWithZeroDiagonal) {

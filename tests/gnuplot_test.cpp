@@ -17,8 +17,13 @@ PlotSpec titled(std::string title) {
 
 class GnuplotTest : public ::testing::Test {
  protected:
+  // One base path per test: ctest runs the tests of this fixture as
+  // parallel processes, which must not write and delete each other's
+  // files.
   std::filesystem::path base_ =
-      std::filesystem::temp_directory_path() / "kc_gnuplot_test";
+      std::filesystem::temp_directory_path() /
+      (std::string("kc_gnuplot_test_") +
+       ::testing::UnitTest::GetInstance()->current_test_info()->name());
   void TearDown() override {
     std::filesystem::remove(base_.string() + ".dat");
     std::filesystem::remove(base_.string() + ".plt");

@@ -103,7 +103,6 @@ TEST(SpatialIndex, CellsPartitionPointsAndBoxesContainMembers) {
           const index_t id = index.order()[base + j];
           EXPECT_FALSE(seen[id]);
           seen[id] = true;
-          EXPECT_EQ(index.cell_of(id), c);
           grid_cell_key(pts[id], index.cell_width(), key);
           EXPECT_EQ(key, key0) << "member outside its cell's grid key";
           for (std::size_t d = 0; d < dim; ++d) {
@@ -132,6 +131,18 @@ struct IndexFields {
   std::vector<double> bbox;  ///< per cell: dim lows, dim highs
 };
 
+/// Each point's cell, read off order() and the cell runs.
+std::vector<std::uint32_t> cells_by_id(const SpatialIndex& index) {
+  std::vector<std::uint32_t> cell(index.size());
+  for (std::size_t c = 0; c < index.cell_count(); ++c) {
+    for (std::size_t j = 0; j < index.cell_size(c); ++j) {
+      cell[index.order()[index.cell_begin(c) + j]] =
+          static_cast<std::uint32_t>(c);
+    }
+  }
+  return cell;
+}
+
 IndexFields fields_of(const SpatialIndex& index) {
   const std::size_t dim = index.dim();
   IndexFields f;
@@ -140,9 +151,7 @@ IndexFields fields_of(const SpatialIndex& index) {
   for (std::size_t c = 0; c <= index.cell_count(); ++c) {
     f.cell_begin.push_back(index.cell_begin(c));
   }
-  for (index_t id = 0; id < index.size(); ++id) {
-    f.cell_of.push_back(index.cell_of(id));
-  }
+  f.cell_of = cells_by_id(index);
   f.rows.assign(index.rows(), index.rows() + index.size() * dim);
   for (std::size_t c = 0; c < index.cell_count(); ++c) {
     f.bbox.insert(f.bbox.end(), index.cell_lo(c), index.cell_lo(c) + dim);
@@ -305,10 +314,11 @@ TEST(SpatialIndex, MatchesTheComparatorSortBuildFieldForField) {
     }
     expect_same_index(pts);
     const SpatialIndex index(pts);
-    const std::size_t zero_cell = index.cell_of(0);
-    EXPECT_EQ(index.cell_of(1), zero_cell);
-    EXPECT_EQ(index.cell_of(2), zero_cell);
-    EXPECT_EQ(index.cell_of(3), zero_cell);
+    const std::vector<std::uint32_t> cell = cells_by_id(index);
+    const std::size_t zero_cell = cell[0];
+    EXPECT_EQ(cell[1], zero_cell);
+    EXPECT_EQ(cell[2], zero_cell);
+    EXPECT_EQ(cell[3], zero_cell);
     EXPECT_FALSE(std::signbit(index.cell_lo(zero_cell)[0]));
     EXPECT_TRUE(std::signbit(index.cell_lo(zero_cell)[1]));
   }
@@ -506,7 +516,25 @@ TEST(SampleBoxes, BoxMindistNeverExceedsAnyMemberDistance) {
 
 class PrunedScans : public ::testing::TestWithParam<exec::BackendKind> {};
 
+/// Bitwise: slot j of a cell-order `got` must hold element order[j] of
+/// the id-order `want`.
+void expect_permuted_bit_identical(const std::vector<double>& got,
+                                   const std::vector<double>& want,
+                                   std::span<const index_t> order) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+              std::bit_cast<std::uint64_t>(want[order[j]]))
+        << "ordered slot " << j << " (point " << order[j] << ")";
+  }
+}
+
 TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
+  // The ordered scans fold into best[] laid out in the index's cell
+  // order: best_ordered[j] belongs to point order()[j]. The values must
+  // still be bitwise those of the plain id-order scan — the permutation
+  // and the skipped pairs are the only differences.
+  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
   const auto backend = exec::make_backend(GetParam(), 4);
 
   Rng rng(2024);
@@ -532,6 +560,7 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
         DistanceOracle pruned(pts, kind);
         pruned.bind_executor(backend.get(), /*min_items=*/256);
         pruned.bind_index(&index, PruneMode::On);
+        ASSERT_TRUE(pruned.ordered_scans_available(ids));
 
         // Multi scan from fresh infinity (covering-radius shape).
         std::vector<double> want(n, kInfDist);
@@ -540,9 +569,9 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
         plain.update_nearest_multi(ids, centers, want);
         const WorkCounters plain_elapsed = plain_work.elapsed();
         const WorkScope pruned_work;
-        pruned.update_nearest_multi(ids, centers, got);
+        pruned.update_nearest_multi_ordered(centers, got);
         const WorkCounters pruned_elapsed = pruned_work.elapsed();
-        expect_bit_identical(got, want);
+        expect_permuted_bit_identical(got, want, index.order());
 
         // Work accounting: never more evals than unpruned, and the
         // evaluated/pruned split sums to the unpruned total.
@@ -555,11 +584,88 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
         PruneCache cache(index);
         std::vector<double> want_seq(n, kInfDist);
         std::vector<double> got_seq(n, kInfDist);
+        const WorkScope seq_work;
+        for (const index_t c : centers) {
+          pruned.update_nearest_ordered(c, got_seq, &cache);
+        }
+        const WorkCounters seq_elapsed = seq_work.elapsed();
         for (const index_t c : centers) {
           plain.update_nearest(ids, c, want_seq);
-          pruned.update_nearest(ids, c, got_seq, &cache);
         }
-        expect_bit_identical(got_seq, want_seq);
+        expect_permuted_bit_identical(got_seq, want_seq, index.order());
+        EXPECT_EQ(seq_elapsed.distance_evals + seq_elapsed.pruned_pairs,
+                  std::uint64_t{n} * centers.size());
+      }
+    }
+  }
+}
+
+/// The PruneCache contract: after a completed ordered scan that used the
+/// cache, each cell's bound is the maximum of its slice of best[], bit
+/// for bit.
+void expect_exact_bounds(PruneCache& cache, const SpatialIndex& index,
+                         const std::vector<double>& best) {
+  const std::span<const double> ub = cache.bounds();
+  ASSERT_EQ(ub.size(), index.cell_count());
+  for (std::size_t c = 0; c < index.cell_count(); ++c) {
+    const auto first =
+        best.begin() + static_cast<std::ptrdiff_t>(index.cell_begin(c));
+    const double want = *std::max_element(
+        first, first + static_cast<std::ptrdiff_t>(index.cell_size(c)));
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(ub[c]),
+              std::bit_cast<std::uint64_t>(want))
+        << "cell " << c << ": bound " << ub[c] << " vs max " << want;
+  }
+}
+
+TEST_P(PrunedScans, CacheBoundsAreEachCellsExactMaximum) {
+  // GON's argmax from the cache will rely on this: a scanned cell
+  // refreshes its bound from its slice, and a skipped cell's bound is
+  // untouched, like its slice.
+  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
+  const auto backend = exec::make_backend(GetParam(), 4);
+
+  Rng rng(2029);
+  for (int shape = 0; shape < 2; ++shape) {  // clustered, uniform
+    for (const std::size_t dim : {2u, 3u}) {
+      const std::size_t n = 20'000;
+      const PointSet pts = make_input(shape, n, dim, rng);
+      const SpatialIndex index(pts);
+      std::vector<index_t> centers(24);
+      for (auto& c : centers) c = static_cast<index_t>(rng.uniform_int(n));
+      const std::span<const index_t> all(centers);
+
+      for (const auto kind :
+           {MetricKind::L2, MetricKind::L1, MetricKind::Linf}) {
+        SCOPED_TRACE(std::string(shape_name(shape)) + " dim=" +
+                     std::to_string(dim) + " " + std::string(to_string(kind)));
+        DistanceOracle oracle(pts, kind);
+        oracle.bind_executor(backend.get(), /*min_items=*/256);
+        oracle.bind_index(&index, PruneMode::On);
+
+        // GON-shaped: one center per scan on one best[] and one cache,
+        // then a multi-center scan on the same pair.
+        PruneCache sweeps(index);
+        std::vector<double> best(n, kInfDist);
+        const WorkScope work;
+        for (const index_t c : all.first(16)) {
+          oracle.update_nearest_ordered(c, best, &sweeps);
+          expect_exact_bounds(sweeps, index, best);
+        }
+        oracle.update_nearest_multi_ordered(all.subspan(16), best, &sweeps);
+        expect_exact_bounds(sweeps, index, best);
+        if (shape == 0) {
+          EXPECT_GT(work.elapsed().pruned_pairs, 0u);
+        }
+
+        // Cold multi-center scans priming a fresh cache: more centers
+        // than one block, and fewer (the global pass folds them all).
+        for (const std::size_t k : {centers.size(), std::size_t{3}}) {
+          PruneCache cold(index);
+          std::vector<double> fresh(n, kInfDist);
+          oracle.update_nearest_multi_ordered(all.first(k), fresh, &cold);
+          expect_exact_bounds(cold, index, fresh);
+        }
       }
     }
   }
@@ -597,6 +703,37 @@ TEST_P(PrunedScans, GonzalezRunsBitIdenticalWithPruning) {
     // Clustered data at k=16 must actually prune (this is the whole
     // point); the ratio bar lives in the bench, here just "engaged".
     EXPECT_GT(pruned_elapsed.pruned_pairs, 0u);
+  }
+}
+
+TEST_P(PrunedScans, GonzalezBreaksTiesOnTheSmallestId) {
+  // A 101 x 101 integer lattice numbered from its far corner, so ids
+  // run against the grid's cell order: after the first picks, lattice
+  // corners and edges tie for farthest, and cell order lists a larger
+  // id first. Pruned GON must still take the smallest id at every tie.
+  const auto backend = exec::make_backend(GetParam(), 4);
+  constexpr int kSide = 101;
+  PointSet pts;
+  for (int x = kSide - 1; x >= 0; --x) {
+    for (int y = kSide - 1; y >= 0; --y) {
+      pts.push_back(
+          std::vector<double>{static_cast<double>(x), static_cast<double>(y)});
+    }
+  }
+  const SpatialIndex index(pts);
+  const std::vector<index_t> ids = pts.all_indices();
+  for (const auto kind : {MetricKind::L2, MetricKind::L1, MetricKind::Linf}) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    DistanceOracle plain(pts, kind);
+    plain.bind_executor(backend.get(), /*min_items=*/256);
+    DistanceOracle pruned(pts, kind);
+    pruned.bind_executor(backend.get(), /*min_items=*/256);
+    pruned.bind_index(&index, PruneMode::On);
+    const GonzalezResult want = gonzalez(plain, ids, 12, {});
+    const GonzalezResult got = gonzalez(pruned, ids, 12, {});
+    EXPECT_EQ(got.centers, want.centers);
+    expect_bit_identical(got.greedy_radii_comparable,
+                         want.greedy_radii_comparable);
   }
 }
 
@@ -667,70 +804,10 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PrunedScans,
 
 // -------------------------------------------------------- ordered domain
 
-TEST(OrderedScans, ValuesMatchTheUnprunedScanAtPermutedPositions) {
-  // The ordered scans fold into best[] laid out in the index's cell
-  // order: best_ordered[j] belongs to point order()[j]. The values must
-  // still be bitwise those of the plain id-order scan — the permutation
-  // is the only difference.
-  Rng rng(909);
-  for (int shape = 0; shape < 3; ++shape) {
-    for (const std::size_t dim : {1u, 2u, 5u}) {
-      const std::size_t n = 2500;
-      const PointSet pts = make_input(shape, n, dim, rng);
-      const std::vector<index_t> ids = pts.all_indices();
-      const SpatialIndex index(pts);
-      std::vector<index_t> centers(10);
-      for (auto& c : centers) c = static_cast<index_t>(rng.uniform_int(n));
-
-      for (const auto kind :
-           {MetricKind::L2, MetricKind::L1, MetricKind::Linf}) {
-        SCOPED_TRACE(std::string(shape_name(shape)) + " dim=" +
-                     std::to_string(dim) + " " + std::string(to_string(kind)));
-        DistanceOracle plain(pts, kind);
-        DistanceOracle pruned(pts, kind);
-        pruned.bind_index(&index, PruneMode::On);
-        ASSERT_EQ(pruned.ordered_scans_available(),
-                  !force_no_prune_requested());
-        if (!pruned.ordered_scans_available()) GTEST_SKIP();
-
-        // Multi scan from fresh infinity.
-        std::vector<double> want(n, kInfDist);
-        std::vector<double> got(n, kInfDist);
-        const WorkScope plain_work;
-        plain.update_nearest_multi(ids, centers, want);
-        const std::uint64_t plain_evals = plain_work.elapsed().distance_evals;
-        const WorkScope pruned_work;
-        pruned.update_nearest_multi_ordered(centers, got);
-        const WorkCounters pruned_elapsed = pruned_work.elapsed();
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
-                    std::bit_cast<std::uint64_t>(want[index.order()[j]]))
-              << "ordered slot " << j;
-        }
-        EXPECT_EQ(pruned_elapsed.distance_evals + pruned_elapsed.pruned_pairs,
-                  plain_evals);
-
-        // Sweep sequence sharing one cache across centers (GON shape).
-        PruneCache cache(index);
-        std::vector<double> want_seq(n, kInfDist);
-        std::vector<double> got_seq(n, kInfDist);
-        for (const index_t c : centers) {
-          plain.update_nearest(ids, c, want_seq);
-          pruned.update_nearest_ordered(c, got_seq, &cache);
-        }
-        for (std::size_t j = 0; j < n; ++j) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got_seq[j]),
-                    std::bit_cast<std::uint64_t>(want_seq[index.order()[j]]))
-              << "ordered slot " << j;
-        }
-      }
-    }
-  }
-}
-
 TEST(OrderedScans, RequireAMatchingBoundIndex) {
   Rng rng(910);
   const PointSet pts = data::generate_gau(2000, 8, 2, 100.0, 0.1, rng);
+  const std::vector<index_t> ids = pts.all_indices();
   std::vector<double> best(pts.size(), kInfDist);
   const index_t centers[2] = {0, 1};
 
@@ -738,7 +815,7 @@ TEST(OrderedScans, RequireAMatchingBoundIndex) {
   // scans refuse rather than silently fall back to id order (the caller
   // would misread the result's layout).
   DistanceOracle bare(pts);
-  EXPECT_FALSE(bare.ordered_scans_available());
+  EXPECT_FALSE(bare.ordered_scans_available(ids));
   EXPECT_THROW(bare.update_nearest_ordered(0, best), std::logic_error);
   EXPECT_THROW(bare.update_nearest_multi_ordered(centers, best),
                std::logic_error);
@@ -747,14 +824,33 @@ TEST(OrderedScans, RequireAMatchingBoundIndex) {
   const SpatialIndex index(pts);
   DistanceOracle off(pts);
   off.bind_index(&index, PruneMode::Off);
-  EXPECT_FALSE(off.ordered_scans_available());
+  EXPECT_FALSE(off.ordered_scans_available(ids));
   EXPECT_THROW(off.update_nearest_ordered(0, best), std::logic_error);
+
+  // An index over another point set of the same size: same contract.
+  const PointSet other = data::generate_gau(2000, 8, 2, 100.0, 0.1, rng);
+  const SpatialIndex foreign(other);
+  DistanceOracle mismatched(pts);
+  mismatched.bind_index(&foreign, PruneMode::On);
+  EXPECT_FALSE(mismatched.ordered_scans_available(ids));
+  EXPECT_THROW(mismatched.update_nearest_multi_ordered(centers, best),
+               std::logic_error);
+
+  // A matching index admits the whole set in id order, and nothing
+  // else: no strict subset, no other order.
+  DistanceOracle on(pts);
+  on.bind_index(&index, PruneMode::On);
+  EXPECT_EQ(on.ordered_scans_available(ids), !force_no_prune_requested());
+  const std::span<const index_t> all(ids);
+  EXPECT_FALSE(on.ordered_scans_available({}));
+  EXPECT_FALSE(on.ordered_scans_available(all.first(ids.size() - 1)));
+  EXPECT_FALSE(on.ordered_scans_available(all.subspan(1)));
+  const std::vector<index_t> reversed(ids.rbegin(), ids.rend());
+  EXPECT_FALSE(on.ordered_scans_available(reversed));
 
   // Wrong-size best[]: the ordered domain covers the full point set
   // only.
-  DistanceOracle on(pts);
-  on.bind_index(&index, PruneMode::On);
-  if (on.ordered_scans_available()) {
+  if (on.ordered_scans_available(ids)) {
     std::vector<double> wrong(pts.size() - 1, kInfDist);
     EXPECT_THROW(on.update_nearest_multi_ordered(centers, wrong),
                  std::logic_error);
@@ -783,6 +879,23 @@ TEST(PrunedScansFallback, PartialRangeScansTakeTheExactUnprunedPath) {
   expect_bit_identical(got, want);
   EXPECT_EQ(scope.elapsed().pruned_pairs, 0u);
   EXPECT_EQ(scope.elapsed().distance_evals, subset.size());
+
+  // The whole set in id order: still the exact scan, which never
+  // prunes — only the ordered scans do.
+  const std::vector<index_t> ids = pts.all_indices();
+  std::vector<index_t> centers(12);
+  std::iota(centers.begin(), centers.end(), index_t{0});
+  std::vector<double> want_all(ids.size(), kInfDist);
+  std::vector<double> got_all(ids.size(), kInfDist);
+  plain.update_nearest_multi(ids, centers, want_all);
+  plain.update_nearest(ids, 100, want_all);
+  const WorkScope all_scope;
+  pruned.update_nearest_multi(ids, centers, got_all);
+  pruned.update_nearest(ids, 100, got_all);
+  expect_bit_identical(got_all, want_all);
+  EXPECT_EQ(all_scope.elapsed().pruned_pairs, 0u);
+  EXPECT_EQ(all_scope.elapsed().distance_evals,
+            ids.size() * (centers.size() + 1));
 }
 
 TEST(PrunedScansFallback, PruneModeOffKeepsTheUnprunedPathAndCounters) {
@@ -791,9 +904,9 @@ TEST(PrunedScansFallback, PruneModeOffKeepsTheUnprunedPathAndCounters) {
   const SpatialIndex index(pts);
   DistanceOracle oracle(pts);
   oracle.bind_index(&index, PruneMode::Off);
-  EXPECT_FALSE(oracle.pruning_enabled());
-
   const std::vector<index_t> ids = pts.all_indices();
+  EXPECT_FALSE(oracle.ordered_scans_available(ids));
+
   std::vector<double> best(ids.size(), kInfDist);
   const WorkScope scope;
   oracle.update_nearest(ids, 0, best);
@@ -804,6 +917,7 @@ TEST(PrunedScansFallback, PruneModeOffKeepsTheUnprunedPathAndCounters) {
 // --------------------------------------------------------- budget/cancel
 
 TEST(PrunedScansGated, BudgetStopsWithinOneGateAndNeverOvercharges) {
+  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
   Rng rng(41);
   const PointSet pts = data::generate_gau(300'000, 16, 2, 100.0, 0.5, rng);
   const SpatialIndex index(pts);
@@ -819,7 +933,7 @@ TEST(PrunedScansGated, BudgetStopsWithinOneGateAndNeverOvercharges) {
   std::vector<index_t> centers(16);
   std::iota(centers.begin(), centers.end(), index_t{0});
   std::vector<double> best(ids.size(), kInfDist);
-  EXPECT_THROW(oracle.update_nearest_multi(ids, centers, best),
+  EXPECT_THROW(oracle.update_nearest_multi_ordered(centers, best),
                BudgetExceededError);
   // Never overdrawn, and stopped promptly: the pruned scan pre-buys
   // credit in gate batches and refunds the unexecuted remainder on the
@@ -830,6 +944,7 @@ TEST(PrunedScansGated, BudgetStopsWithinOneGateAndNeverOvercharges) {
 }
 
 TEST(PrunedScansGated, CancellationStopsThePrunedScan) {
+  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
   Rng rng(42);
   const PointSet pts = data::generate_gau(100'000, 16, 2, 100.0, 0.5, rng);
   const SpatialIndex index(pts);
@@ -845,11 +960,12 @@ TEST(PrunedScansGated, CancellationStopsThePrunedScan) {
   std::vector<index_t> centers(16);
   std::iota(centers.begin(), centers.end(), index_t{0});
   std::vector<double> best(ids.size(), kInfDist);
-  EXPECT_THROW(oracle.update_nearest_multi(ids, centers, best),
+  EXPECT_THROW(oracle.update_nearest_multi_ordered(centers, best),
                CancelledError);
 }
 
 TEST(PrunedScansGated, CompletedGatedScanChargesExactlyItsEvaluatedPairs) {
+  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
   Rng rng(43);
   const PointSet pts = data::generate_gau(50'000, 16, 2, 100.0, 0.1, rng);
   const SpatialIndex index(pts);
@@ -865,10 +981,11 @@ TEST(PrunedScansGated, CompletedGatedScanChargesExactlyItsEvaluatedPairs) {
   std::iota(centers.begin(), centers.end(), index_t{0});
   std::vector<double> best(ids.size(), kInfDist);
   const WorkScope scope;
-  oracle.update_nearest_multi(ids, centers, best);
+  oracle.update_nearest_multi_ordered(centers, best);
   // The budget odometer and the thread-local counters agree exactly on
   // a completed scan: evaluated pairs, with the pruned ones free.
   EXPECT_EQ(ctx.budget->consumed(), scope.elapsed().distance_evals);
+  EXPECT_GT(scope.elapsed().pruned_pairs, 0u);
 }
 
 /// 200k clustered 2-D points and 4096 of them split into sample boxes:
@@ -980,6 +1097,32 @@ TEST(ApiSolverPrune, AutoPrunesBitIdenticallyAndReportsTheSplit) {
          std::string_view(algorithm) == "eim")) {
       EXPECT_GT(on.pairs_pruned, 0u);
     }
+  }
+}
+
+TEST(ApiSolverPrune, HochbaumShmoysPrunesItsRadiusPassBitIdentically) {
+  // HS's candidate list is quadratic, so n sits just over Auto's
+  // 4,096-point floor and under HS's cap: Auto builds the grid, and
+  // HS's final radius pass runs as an ordered scan over it.
+  Rng rng(2025);
+  const PointSet pts = data::generate_gau(4200, 25, 2, 100.0, 0.1, rng);
+  api::SolveRequest request;
+  request.points = &pts;
+  request.k = 25;
+  request.algorithm = "hs";
+  request.prune = PruneMode::Off;
+  api::Solver solver;
+  const api::SolveReport off = solver.solve(request);
+  request.prune = PruneMode::Auto;
+  const api::SolveReport on = solver.solve(request);
+
+  EXPECT_EQ(on.centers, off.centers);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(on.value),
+            std::bit_cast<std::uint64_t>(off.value));
+  EXPECT_EQ(off.pairs_pruned, 0u);
+  EXPECT_EQ(on.dist_evals + on.pairs_pruned, off.dist_evals);
+  if (!force_no_prune_requested()) {
+    EXPECT_GT(on.pairs_pruned, 0u);
   }
 }
 

@@ -259,18 +259,21 @@ def extract_file(path: Path, index: MutexIndex,
                     func = name
                     func_depth = depth
                     held = [(mx, "<entry>", depth) for mx in entry_held]
+                    # The body may start after the '{' on this line:
+                    # clang-format keeps a one-statement body there.
+                    code = code.split("{", 1)[1]
                 elif cm or pending_class:
                     classes.append((cm.group(1) if cm else pending_class,
                                     depth))
                 pending_class = None
                 pending_sig = ""
-        else:
+        if func is not None:
             gm = GUARD_RE.search(code)
             if gm:
                 mutex = index.canonical(gm.group(2), path.stem)
                 facts.acquisitions.append(Acquisition(
                     func, mutex, sorted({h for h, _, _ in held}), lineno))
-                held.append((mutex, gm.group(1), depth + code.count("{")))
+                held.append((mutex, gm.group(1), depth + line.count("{")))
             else:
                 # MutexLock mid-scope unlock ends the hold early; the
                 # matching relock() re-enters the same mutex, which the
