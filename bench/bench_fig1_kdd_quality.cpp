@@ -1,8 +1,9 @@
 // Figure 1: solution values over k on KDD CUP 1999 (10% subset:
 // 494,021 records; the paper plots k in [0, 100] on a log-scale value
 // axis spanning 10^4..10^9). Default runs the archetype-mixture
-// surrogate at n = 100,000 (see DESIGN.md §5); pass --kdd-file=PATH
-// for the genuine file (numeric columns are extracted automatically).
+// surrogate at n = 100,000 (see src/data/surrogates.hpp); pass
+// --kdd-file=PATH for the genuine file (numeric columns are extracted
+// automatically).
 //
 // Expected shape (paper): values start around 10^8-10^9 at k = 2
 // (driven by a handful of enormous byte-count flows), fall steeply as

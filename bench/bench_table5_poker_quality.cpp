@@ -1,8 +1,8 @@
 // Table 5: solution value over k for the POKER HAND data set (25,010
 // training rows, 10 integer attributes). By default the surrogate
-// generator draws 25,010 uniform 5-card hands (see DESIGN.md §5);
-// pass --poker-file=PATH to run on the genuine UCI file instead
-// (the class column is dropped automatically).
+// generator draws 25,010 uniform 5-card hands (see
+// src/data/surrogates.hpp); pass --poker-file=PATH to run on the
+// genuine UCI file instead (the class column is dropped automatically).
 //
 // Expected shape (paper): values decay gently from ~19 at k=2 to ~8.5
 // at k=100 (hand space is near-uniform, diameter ~27.7); the three

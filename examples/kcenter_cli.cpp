@@ -100,8 +100,8 @@ int main(int argc, char** argv) {
     const kc::api::SolveReport report = solver.solve(request);
 
     // Bind the solve's backend to the evaluation oracle too, so the
-    // lower bound / cluster stats / label passes below parallelize
-    // under --exec/--threads like the solve itself did.
+    // lower bound and the cluster stats below (whose labels --assign
+    // writes) parallelize under --exec/--threads like the solve did.
     kc::DistanceOracle oracle(data, metric);
     oracle.bind_executor(solver.backend().get());
     const auto all = data.all_indices();
@@ -137,11 +137,9 @@ int main(int argc, char** argv) {
       std::printf("centers written to %s\n", out_path->c_str());
     }
     if (assign_path) {
-      const auto labels =
-          kc::eval::assign_clusters(oracle, all, report.centers);
       std::ofstream out(*assign_path);
       if (!out) throw std::runtime_error("cannot open " + *assign_path);
-      for (const auto label : labels) out << label << '\n';
+      for (const auto label : stats.assignment) out << label << '\n';
       std::printf("cluster labels written to %s\n", assign_path->c_str());
     }
     return 0;

@@ -47,7 +47,7 @@ namespace kc {
 /// Base of the log(n) appearing in EIM's threshold, sample rates and
 /// pivot rank. The paper (like Ene et al.) writes an unbased "log";
 /// the choice rescales constants only. Ten reproduces the paper's
-/// observed sampling/no-sampling switchovers best (see DESIGN.md).
+/// observed sampling/no-sampling switchovers best.
 enum class LogBase { E, Two, Ten };
 
 [[nodiscard]] std::string_view to_string(LogBase base) noexcept;

@@ -23,8 +23,7 @@
 // the registry's built-in runners call; use them directly when you
 // already hold a DistanceOracle/SimCluster and want no intermediary.
 //
-// See README.md for the architecture overview and DESIGN.md for the
-// paper-reproduction inventory.
+// See docs/architecture.md for the architecture overview.
 #pragma once
 
 #include "algo/brute_force.hpp"

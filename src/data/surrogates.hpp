@@ -4,8 +4,8 @@
 // a synthetic stand-in that reproduces the geometric structure the
 // k-center algorithms actually respond to; the genuine files can be
 // substituted at runtime via data::load_numeric_csv and the benches'
-// --poker-file / --kdd-file flags. The substitutions are documented in
-// DESIGN.md §5.
+// --poker-file / --kdd-file flags. Each substitution is documented
+// below.
 //
 // POKER HAND (training set: 25,010 rows, 10 integer attributes): five
 // cards, each as (suit in 1..4, rank in 1..13), class label dropped.

@@ -4,22 +4,9 @@
 #include <vector>
 
 #include "exec/backend.hpp"
-#include "exec/chunk_context.hpp"
 #include "geom/spatial_index.hpp"
 
 namespace kc::eval {
-
-namespace {
-
-/// The oracle's bound stop-condition context, or nullptr when
-/// evaluation should run ungated (no context, or an inert one).
-[[nodiscard]] const exec::ChunkContext* gate_of(
-    const DistanceOracle& oracle) noexcept {
-  const exec::ChunkContext* ctx = oracle.context();
-  return ctx != nullptr && ctx->armed() ? ctx : nullptr;
-}
-
-}  // namespace
 
 Evaluation covering_radius(const DistanceOracle& oracle,
                            std::span<const index_t> pts,
@@ -64,43 +51,36 @@ std::vector<std::uint32_t> assign_clusters(const DistanceOracle& oracle,
   // engine and folds a per-row first-wins strict-< argmin. Center tiles
   // arrive in ascending order, so each point gets the first of its
   // nearest centers — on bit-identical distances (the tile kernel's
-  // contract) — without a scalar pair call per (point, center).
+  // contract) — without a scalar pair call per (point, center). Chunks
+  // of at least kChunk points stream independent rectangles into
+  // disjoint slices, each through its own gated stream, so the labels
+  // do not depend on the executor.
   std::vector<double> best(pts.size(), kInfDist);
-  const auto fold_from = [&assignment, &best](std::size_t base) {
-    return [&assignment, &best, base](std::size_t i0, std::size_t j0,
-                                      std::size_t tm, std::size_t tn,
-                                      const double* tile, std::size_t ldt) {
-      for (std::size_t r = 0; r < tm; ++r) {
-        const std::size_t i = base + i0 + r;
-        const double* row = tile + r * ldt;
-        for (std::size_t c = 0; c < tn; ++c) {
-          if (row[c] < best[i]) {
-            best[i] = row[c];
-            assignment[i] = static_cast<std::uint32_t>(j0 + c);
+  constexpr std::size_t kChunk = 4096;
+  const auto stream = [&](std::size_t lo, std::size_t hi) {
+    oracle.pairwise_tiles(
+        pts.subspan(lo, hi - lo), centers,
+        [&assignment, &best, lo](std::size_t i0, std::size_t j0,
+                                 std::size_t tm, std::size_t tn,
+                                 const double* tile, std::size_t ldt) {
+          for (std::size_t r = 0; r < tm; ++r) {
+            const std::size_t i = lo + i0 + r;
+            const double* row = tile + r * ldt;
+            for (std::size_t c = 0; c < tn; ++c) {
+              if (row[c] < best[i]) {
+                best[i] = row[c];
+                assignment[i] = static_cast<std::uint32_t>(j0 + c);
+              }
+            }
           }
-        }
-      }
-    };
+        },
+        "assign_clusters");
   };
-
-  exec::ExecutionBackend* executor = oracle.executor();
-  if (executor != nullptr && gate_of(oracle) == nullptr) {
-    // Ungated pass on the bound executor: chunks of at least kChunk
-    // points stream independent tile rectangles into disjoint
-    // assignment slices with the same per-row fold, so the labels stay
-    // bit-identical to the single stream below.
-    constexpr std::size_t kChunk = 4096;
-    const auto stream = [&](std::size_t lo, std::size_t hi) {
-      oracle.pairwise_tiles(pts.subspan(lo, hi - lo), centers, fold_from(lo),
-                            "assign_clusters");
-    };
+  if (exec::ExecutionBackend* executor = oracle.executor()) {
     executor->parallel_for(pts.size(), kChunk, stream);
-    return assignment;
+  } else {
+    stream(0, pts.size());
   }
-  // One stream covers the gated case (the engine charges the budget in
-  // gate batches under the "assign_clusters" label) and the ungated
-  // case without an executor.
-  oracle.pairwise_tiles(pts, centers, fold_from(0), "assign_clusters");
   return assignment;
 }
 
@@ -110,11 +90,10 @@ ClusterStats cluster_stats(const DistanceOracle& oracle,
   if (centers.empty()) {
     throw std::invalid_argument("cluster_stats: empty centers");
   }
-  const auto assignment = assign_clusters(oracle, pts, centers);
-
   ClusterStats stats;
+  stats.assignment = assign_clusters(oracle, pts, centers);
   stats.sizes.assign(centers.size(), 0);
-  for (const std::uint32_t c : assignment) ++stats.sizes[c];
+  for (const std::uint32_t c : stats.assignment) ++stats.sizes[c];
 
   // Bucket the member points per cluster (counting sort), then stream
   // each cluster's center-to-members row through the tiled engine and
@@ -131,7 +110,7 @@ ClusterStats cluster_stats(const DistanceOracle& oracle,
   {
     std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      members[cursor[assignment[i]]++] = pts[i];
+      members[cursor[stats.assignment[i]]++] = pts[i];
     }
   }
   std::vector<double> radii_comp(centers.size(), 0.0);

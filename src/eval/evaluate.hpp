@@ -40,15 +40,17 @@ struct Evaluation {
                                          std::span<const index_t> centers);
 
 /// assignment[i] = index into `centers` of the center nearest pts[i].
-/// Ungated, the pass spreads chunks of points over the bound executor's
-/// parallel_for (each chunk's pair evaluations count on the thread that
-/// ran it); an armed context keeps one gated stream on the calling
-/// thread. The labels are identical either way.
+/// The pass spreads chunks of points over the bound executor's
+/// parallel_for, gated or not: each chunk's tile stream carries its own
+/// gate, and its pair evaluations count on the thread that ran it. The
+/// labels do not depend on the executor.
 [[nodiscard]] std::vector<std::uint32_t> assign_clusters(
     const DistanceOracle& oracle, std::span<const index_t> pts,
     std::span<const index_t> centers);
 
 struct ClusterStats {
+  /// assign_clusters(oracle, pts, centers): the label of each point.
+  std::vector<std::uint32_t> assignment;
   std::vector<std::size_t> sizes;       ///< points per center
   std::vector<double> radii;            ///< per-cluster covering radius
   double max_radius = 0.0;              ///< == covering radius

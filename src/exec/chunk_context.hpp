@@ -7,19 +7,19 @@
 // and cancellation were only consulted at MapReduce round boundaries;
 // one round with a 10M-point-pair scan would run to completion before
 // noticing either. The facade (api::Solver) binds a context onto the
-// DistanceOracle; the oracle's gated scans then charge the budget and
-// poll the token every ~kGateEvals pair evaluations, on every backend
-// (the gating is part of the scan loop, not of the fan-out, so even a
-// purely sequential scan stops within one gate chunk).
+// DistanceOracle; each chunk of the oracle's scans then pays the budget
+// and polls the token through one gate every ~kGateEvals pair
+// evaluations, on every backend (the gate is part of the scan loop,
+// not of the fan-out, so even a purely sequential scan stops within
+// one gate chunk).
 //
 // The budget is an *enforcement* mechanism, deliberately separate from
-// the thread-local work counters (geom/counters.hpp): counters remain
-// charged in bulk on the calling thread before fan-out so per-machine
-// attribution stays bit-identical across backends, while the budget is
-// decremented chunk by chunk by whichever thread executes the chunk.
-// The two agree exactly for scans that complete; an aborted scan has
-// consumed() well short of the counters' bulk charge — which is the
-// point.
+// the thread-local work counters (geom/counters.hpp): a scan charges
+// its counters on the calling thread after its fan-out joined, so
+// per-machine attribution stays bit-identical across backends, while
+// the budget is decremented gate by gate by whichever thread runs the
+// chunk. Both record exactly the pairs that were evaluated, for a
+// completed scan and for a stopped one alike.
 #pragma once
 
 #include <algorithm>

@@ -15,60 +15,8 @@ namespace kc {
 
 namespace {
 
-/// Drives `run` over [0, n) in gate chunks of ~exec::kGateEvals pair
-/// evaluations, charging the context's budget and polling its token
-/// before each chunk. `fan_out` additionally shards the gated body
-/// across the backend (the gates subdivide whatever ranges the backend
-/// hands out, so granularity is backend-independent). A tripped stop
-/// condition makes every not-yet-started gate chunk a no-op — on all
-/// shards, via the shared flag — and is returned to the caller, which
-/// raises the matching error on its own thread.
-[[nodiscard]] exec::StopReason gated_scan(
-    const exec::ChunkContext& ctx, exec::ExecutionBackend* backend,
-    bool fan_out, std::size_t n, std::size_t shard_grain,
-    std::uint64_t evals_per_item,
-    const exec::ExecutionBackend::RangeBody& run) {
-  const std::size_t gate = std::max<std::size_t>(
-      1, static_cast<std::size_t>(exec::kGateEvals /
-                                  std::max<std::uint64_t>(evals_per_item, 1)));
-  std::atomic<int> stop{0};
-  const exec::ExecutionBackend::RangeBody gated = [&](std::size_t lo,
-                                                      std::size_t hi) {
-    for (std::size_t pos = lo; pos < hi;) {
-      // Relaxed stop protocol: the flag carries a tiny enum with no
-      // dependent data, and the backend's join is the real barrier
-      // before the final read — staleness only costs one gate chunk.
-      if (stop.load(std::memory_order_relaxed) != 0) return;
-      const std::size_t end = std::min(hi, pos + gate);
-      const exec::StopReason reason =
-          ctx.charge(static_cast<std::uint64_t>(end - pos) * evals_per_item);
-      if (reason != exec::StopReason::None) {
-        stop.store(static_cast<int>(reason),
-                   std::memory_order_relaxed);  // see stop note above
-        return;
-      }
-      run(pos, end);
-      pos = end;
-    }
-  };
-  if (fan_out && backend != nullptr) {
-    backend->parallel_for(n, shard_grain, gated);
-  } else {
-    gated(0, n);
-  }
-  // Relaxed: parallel_for joined (or the lambda ran inline), so every
-  // store to `stop` already happened-before this read.
-  return static_cast<exec::StopReason>(stop.load(std::memory_order_relaxed));
-}
-
-/// True when the oracle should run this scan through the gated driver.
-[[nodiscard]] bool gating(const exec::ChunkContext* ctx) noexcept {
-  return ctx != nullptr && ctx->armed();
-}
-
-/// What the chunks of one pruning scan (the cell-pruned scans and the
-/// sample-box scans) share: the stop flag their gates publish on, and
-/// the evaluated and skipped pair totals.
+/// What the chunks of one gated scan share: the stop flag their gates
+/// publish on, and the evaluated and skipped pair totals.
 struct ScanTally {
   std::atomic<int> stop{0};
   std::atomic<std::uint64_t> evals{0};
@@ -92,19 +40,29 @@ struct ScanTally {
   }
 };
 
-/// The budget/cancel gate and pair tally of one chunk of a pruning
-/// scan. Budget credit is pre-bought in ~kGateEvals batches (one atomic
-/// per gate, like pairwise_comparable) and the unused tail refunded by
-/// settle(), so a completed scan charges exactly what it evaluated. The
-/// token poll counts skipped pairs too: a scan that prunes nearly
-/// everything does little kernel work but must still notice a cancel
-/// within ~one gate of bound tests. A stop is published on the scan's
-/// shared flag, which every chunk reads between units of work.
+/// The budget/cancel gate and pair tally of one chunk of a scan: every
+/// bulk scan of the oracle (id-order, cell-pruned, sample-box and tile
+/// stream) pays through one. Budget credit is pre-bought in ~kGateEvals
+/// batches (one atomic per gate), never more than the chunk's remaining
+/// `cap`, and the unused tail refunded by settle(), so a completed scan
+/// charges exactly what it evaluated. When a batch overshoots the
+/// budget's remainder the exact need is tried, so a scan stops only on
+/// an actual shortfall. The token poll counts skipped pairs too: a scan
+/// that prunes nearly everything does little kernel work but must
+/// still notice a cancel within ~one gate of bound tests. A stop is
+/// published on the scan's shared flag, which every chunk reads between
+/// units of work.
 class ScanGate {
  public:
-  /// `ctx` null = ungated: pay() and poll() always pass.
-  ScanGate(const exec::ChunkContext* ctx, ScanTally& tally) noexcept
-      : ctx_(ctx), tally_(tally) {}
+  /// A null or unarmed `ctx` leaves the chunk ungated: pay() and poll()
+  /// always pass. `cap` is at least the pairs the chunk will pay for.
+  ScanGate(const exec::ChunkContext* ctx, ScanTally& tally,
+           std::uint64_t cap) noexcept
+      : ctx_(ctx != nullptr && ctx->armed() ? ctx : nullptr),
+        tally_(tally),
+        unbought_(cap) {}
+
+  [[nodiscard]] bool armed() const noexcept { return ctx_ != nullptr; }
 
   /// Pays for `evals` pairs about to be evaluated; false when the
   /// budget or the token stops the scan.
@@ -133,9 +91,9 @@ class ScanGate {
 
   /// True once any chunk of the scan has published a stop.
   [[nodiscard]] bool stopped() const noexcept {
-    // Relaxed: same stop protocol as gated_scan — staleness costs at
-    // most one unit of work, and the fan-out join orders the flag
-    // before the final read.
+    // Relaxed stop protocol: the flag carries a tiny enum with no
+    // dependent data, staleness costs at most one unit of work, and the
+    // fan-out join orders the flag before the final read.
     return ctx_ != nullptr &&
            tally_.stop.load(std::memory_order_relaxed) != 0;
   }
@@ -162,10 +120,12 @@ class ScanGate {
       return true;
     }
     const std::uint64_t need = evals - credit_;
-    const std::uint64_t batch = std::max(need, exec::kGateEvals);
+    const std::uint64_t batch =
+        std::max(need, std::min(exec::kGateEvals, unbought_));
     exec::StopReason reason = ctx_->charge(batch);
     if (reason == exec::StopReason::None) {
-      credit_ += batch - evals;
+      unbought_ -= batch;
+      credit_ = credit_ + batch - evals;
       return true;
     }
     if (reason == exec::StopReason::BudgetExhausted && batch != need) {
@@ -174,6 +134,7 @@ class ScanGate {
       // scan, so the budget drains to within one sub-call of empty.
       reason = ctx_->charge(need);
       if (reason == exec::StopReason::None) {
+        unbought_ -= need;
         credit_ = 0;
         return true;
       }
@@ -189,6 +150,7 @@ class ScanGate {
 
   const exec::ChunkContext* ctx_;
   ScanTally& tally_;
+  std::uint64_t unbought_;
   std::uint64_t credit_ = 0;
   std::uint64_t since_poll_ = 0;
   std::uint64_t evals_ = 0;
@@ -346,24 +308,24 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
   // blocks then prune against the bounds this pass leaves behind.
   const std::size_t nb0 = all_inf ? std::min(k, simd::kCenterBlock) : 0;
 
-  const exec::ChunkContext* gate_ctx = gating(ctx_) ? ctx_ : nullptr;
   ScanTally tally;
 
   const exec::ExecutionBackend::RangeBody body = [&](std::size_t clo,
                                                      std::size_t chi) {
     const double* cptr[simd::kCenterBlock];
-    ScanGate gate(gate_ctx, tally);
+    // The chunk's cells occupy one contiguous row range.
+    const std::size_t row_lo = idx.cell_begin(clo);
+    const std::size_t row_hi = idx.cell_begin(chi);
+    ScanGate gate(ctx_, tally, std::uint64_t{row_hi - row_lo} * k);
     bool stopped = false;
 
-    // Global pass for cold scans: the chunk's cells occupy one
-    // contiguous row range, and best is in the same order, so the first
-    // block streams it exactly like the unpruned blocked kernel.
+    // Global pass for cold scans: best is in the same order as the
+    // rows, so the first block streams them exactly like the unpruned
+    // blocked kernel.
     if (nb0 > 0) {
       for (std::size_t j = 0; j < nb0; ++j) {
         cptr[j] = points_->data(centers[j]);
       }
-      const std::size_t row_lo = idx.cell_begin(clo);
-      const std::size_t row_hi = idx.cell_begin(chi);
       const std::size_t rgate = std::max<std::size_t>(
           1, static_cast<std::size_t>(exec::kGateEvals) / nb0);
       for (std::size_t r = row_lo; r < row_hi && !stopped; r += rgate) {
@@ -464,37 +426,48 @@ void DistanceOracle::nearest_scan(std::span<const index_t> ids,
                                   std::span<const index_t> centers,
                                   std::span<double> best,
                                   std::string_view where) const {
-  // One bulk charge for the whole ids x centers batch, to the calling
-  // thread up front, so a sharded execution attributes work exactly as
-  // a sequential one.
-  counters::add_distance_evals(ids.size() * centers.size(), dim());
   if (ids.empty()) return;
-
   // Iota id spans — what all_indices() produces and most call sites
   // pass — skip the gather indirection and stream PointSet rows.
   const bool contig = simd::is_contiguous_run(ids.data(), ids.size());
   const std::size_t m = metric_index();
   const std::size_t d = dim();
-  // Per chunk, centers are tiled in blocks of kCenterBlock: each
-  // streaming pass over the chunk folds a whole block per load of
-  // best/ids. Fold order stays center-major (block by block, in-block
-  // in order), which is bit-identical to one pass per center.
-  const auto run = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t cb = 0; cb < centers.size(); cb += simd::kCenterBlock) {
-      const std::size_t nc = std::min(simd::kCenterBlock, centers.size() - cb);
-      const double* cptr[simd::kCenterBlock];
-      for (std::size_t j = 0; j < nc; ++j) {
-        cptr[j] = points_->data(centers[cb + j]);
-      }
-      if (contig) {
-        kernels_->nearest_multi_contig[m](points_->data(ids[lo]), d, hi - lo,
-                                          cptr, nc, best.data() + lo);
-      } else {
-        kernels_->nearest_multi_gather[m](points_->raw().data(), d,
-                                          ids.data() + lo, hi - lo, cptr, nc,
-                                          best.data() + lo);
+  const std::size_t k = centers.size();
+  ScanTally tally;
+
+  const exec::ExecutionBackend::RangeBody body = [&](std::size_t lo,
+                                                     std::size_t hi) {
+    ScanGate gate(ctx_, tally, std::uint64_t{hi - lo} * k);
+    // Gated, a step is the ids one gate's pairs cover; ungated, the
+    // whole shard, so each center block is one kernel call.
+    const std::size_t step =
+        gate.armed() ? std::max<std::size_t>(1, exec::kGateEvals / k)
+                     : hi - lo;
+    for (std::size_t pos = lo; pos < hi && !gate.stopped(); pos += step) {
+      const std::size_t end = std::min(hi, pos + step);
+      if (!gate.pay(std::uint64_t{end - pos} * k)) break;
+      // Centers go in blocks of kCenterBlock: each streaming pass over
+      // the step folds a whole block per load of best/ids. Fold order
+      // stays center-major (block by block, in-block in order), which
+      // is bit-identical to one pass per center.
+      for (std::size_t cb = 0; cb < k; cb += simd::kCenterBlock) {
+        const std::size_t nc = std::min(simd::kCenterBlock, k - cb);
+        const double* cptr[simd::kCenterBlock];
+        for (std::size_t j = 0; j < nc; ++j) {
+          cptr[j] = points_->data(centers[cb + j]);
+        }
+        if (contig) {
+          kernels_->nearest_multi_contig[m](points_->data(ids[pos]), d,
+                                            end - pos, cptr, nc,
+                                            best.data() + pos);
+        } else {
+          kernels_->nearest_multi_gather[m](points_->raw().data(), d,
+                                            ids.data() + pos, end - pos, cptr,
+                                            nc, best.data() + pos);
+        }
       }
     }
+    gate.settle();
   };
 
   // Shard on *total* work (ids x centers pairs): tall-thin batches —
@@ -503,24 +476,13 @@ void DistanceOracle::nearest_scan(std::span<const index_t> ids,
   // instead of multiplying so it cannot overflow; the grain shrinks
   // with the center count so each chunk still does ~shard_min_/2 pair
   // evals.
-  const bool fan_out = exec_ != nullptr && ids.size() > 1 &&
-                       ids.size() > shard_min_ / centers.size();
-  const std::size_t grain =
-      std::max<std::size_t>(1, shard_min_ / 2 / centers.size());
-  if (gating(ctx_)) {
-    const exec::StopReason reason =
-        gated_scan(*ctx_, exec_, fan_out, ids.size(), grain,
-                   /*evals_per_item=*/centers.size(), run);
-    if (reason != exec::StopReason::None) {
-      exec::ChunkContext::raise(reason, where);
-    }
-    return;
+  if (exec_ != nullptr && ids.size() > 1 && ids.size() > shard_min_ / k) {
+    exec_->parallel_for(ids.size(),
+                        std::max<std::size_t>(1, shard_min_ / 2 / k), body);
+  } else {
+    body(0, ids.size());
   }
-  if (fan_out) {
-    exec_->parallel_for(ids.size(), grain, run);
-    return;
-  }
-  run(0, ids.size());
+  tally.finish(d, where);
 }
 
 void DistanceOracle::update_nearest_grouped(std::span<const index_t> ids,
@@ -530,7 +492,7 @@ void DistanceOracle::update_nearest_grouped(std::span<const index_t> ids,
   const std::size_t d = dim();
   const std::size_t groups = boxes.group_count();
   const auto fold = kernels_->nearest_soa[metric_index()];
-  const exec::ChunkContext* gate_ctx = gating(ctx_) ? ctx_ : nullptr;
+  const std::size_t k = boxes.size();
   ScanTally tally;
 
   const exec::ExecutionBackend::RangeBody body = [&](std::size_t lo,
@@ -544,7 +506,7 @@ void DistanceOracle::update_nearest_grouped(std::span<const index_t> ids,
     std::array<double, kBlock * kSampleBoxGroups> gap{};
     std::array<std::size_t, kBlock> nearest{};
     std::array<double, kBlock> b{};
-    ScanGate gate(gate_ctx, tally);
+    ScanGate gate(ctx_, tally, std::uint64_t{hi - lo} * k);
     bool stop = false;
     for (std::size_t i0 = lo; i0 < hi && !stop && !gate.stopped();
          i0 += kBlock) {
@@ -589,7 +551,6 @@ void DistanceOracle::update_nearest_grouped(std::span<const index_t> ids,
 
   // The same fan-out rule as update_nearest_multi, on the unpruned pair
   // count: a point that prunes everything still tests every box.
-  const std::size_t k = boxes.size();
   if (exec_ != nullptr && ids.size() > 1 && ids.size() > shard_min_ / k) {
     exec_->parallel_for(ids.size(),
                         std::max<std::size_t>(1, shard_min_ / 2 / k), body);
@@ -603,50 +564,10 @@ namespace {
 
 /// Cache-blocked tile shape for the streaming pairwise engine. One tile
 /// is kTileRows * kTileCols doubles (16 KiB — comfortably L1/L2
-/// resident together with the point rows it reads), and a tile's pair
-/// count stays far below kGateEvals, so one pre-paid gate batch always
-/// covers the next tile.
+/// resident together with the point rows it reads); a stream pays tile
+/// by tile, so a stop lands within one tile of an exhausted budget.
 constexpr std::size_t kTileRows = 8;
 constexpr std::size_t kTileCols = 256;
-
-static_assert(kTileRows * kTileCols <= exec::kGateEvals);
-
-/// The gate-batched budget/cancel protocol shared by the tile streams:
-/// budget credit is pre-bought in ~kGateEvals batches (one atomic
-/// charge per gate instead of one per tile) and consumed tile by tile,
-/// so a completed stream charges exactly `total` evaluations and a
-/// stopped one has over-charged by less than one gate. Mirrors the
-/// pattern the row-blocked pairwise_comparable loop used before the
-/// tiled engine replaced it.
-class TileGate {
- public:
-  TileGate(const exec::ChunkContext* ctx, std::uint64_t total,
-           std::string_view where) noexcept
-      : ctx_(ctx), unpaid_(total), where_(where) {}
-
-  /// Pays for the next `evals` pairs (<= kGateEvals; tile shapes
-  /// guarantee it), raising CancelledError / BudgetExceededError when a
-  /// stop condition has tripped.
-  void pay(std::uint64_t evals) {
-    if (ctx_ == nullptr) return;
-    if (credit_ < evals) {
-      const std::uint64_t batch = std::min(unpaid_, exec::kGateEvals);
-      const exec::StopReason reason = ctx_->charge(batch);
-      if (reason != exec::StopReason::None) {
-        exec::ChunkContext::raise(reason, where_);
-      }
-      unpaid_ -= batch;
-      credit_ += batch;
-    }
-    credit_ -= evals;
-  }
-
- private:
-  const exec::ChunkContext* ctx_;  ///< null = ungated
-  std::uint64_t unpaid_;
-  std::uint64_t credit_ = 0;
-  std::string_view where_;
-};
 
 /// Contiguous rows for an id span: points straight into the PointSet
 /// when the span is an iota run, otherwise gathers the rows into
@@ -676,26 +597,25 @@ void DistanceOracle::pairwise_tiles(std::span<const index_t> a_ids,
   const std::size_t na = a_ids.size();
   const std::size_t nb = b_ids.size();
   if (na == 0 || nb == 0) return;
-  // Bulk-kernel accounting: one counter charge for the whole rectangle,
-  // one metric dispatch hoisted out of the tile loop.
-  counters::add_distance_evals(static_cast<std::uint64_t>(na) * nb, dim());
   const auto tile_fn = kernels_->pairwise_tile[metric_index()];
   const std::size_t d = dim();
   std::vector<double> astage, bstage;
   const double* arows = rows_of(*points_, a_ids, d, astage);
   const double* brows = rows_of(*points_, b_ids, d, bstage);
   std::vector<double> tile(std::min(kTileRows, na) * std::min(kTileCols, nb));
-  TileGate pay(gated && gating(ctx_) ? ctx_ : nullptr,
-               static_cast<std::uint64_t>(na) * nb, where);
-  for (std::size_t i0 = 0; i0 < na; i0 += kTileRows) {
+  ScanTally tally;
+  ScanGate gate(gated ? ctx_ : nullptr, tally, std::uint64_t{na} * nb);
+  for (std::size_t i0 = 0; i0 < na && !gate.stopped(); i0 += kTileRows) {
     const std::size_t tm = std::min(kTileRows, na - i0);
     for (std::size_t j0 = 0; j0 < nb; j0 += kTileCols) {
       const std::size_t tn = std::min(kTileCols, nb - j0);
-      pay.pay(static_cast<std::uint64_t>(tm) * tn);
+      if (!gate.pay(std::uint64_t{tm} * tn)) break;
       tile_fn(arows + i0 * d, brows + j0 * d, d, tm, tn, tile.data(), tn);
       consume(i0, j0, tm, tn, tile.data(), tn);
     }
   }
+  gate.settle();
+  tally.finish(d, where);
 }
 
 void DistanceOracle::pairwise_upper_tiles(std::span<const index_t> ids,
@@ -703,33 +623,34 @@ void DistanceOracle::pairwise_upper_tiles(std::span<const index_t> ids,
                                           std::string_view where) const {
   const std::size_t n = ids.size();
   if (n < 2) return;
-  const std::uint64_t total = static_cast<std::uint64_t>(n) * (n - 1) / 2;
-  counters::add_distance_evals(total, dim());
   const auto tile_fn = kernels_->pairwise_tile[metric_index()];
   const std::size_t d = dim();
   std::vector<double> stage;
   const double* rows = rows_of(*points_, ids, d, stage);
   std::vector<double> tile(kTileRows * std::min(kTileCols, n));
-  TileGate pay(gating(ctx_) ? ctx_ : nullptr, total, where);
-  for (std::size_t i0 = 0; i0 < n; i0 += kTileRows) {
+  ScanTally tally;
+  ScanGate gate(ctx_, tally, std::uint64_t{n} * (n - 1) / 2);
+  for (std::size_t i0 = 0; i0 < n && !gate.stopped(); i0 += kTileRows) {
     const std::size_t i1 = std::min(n, i0 + kTileRows);
     // Ragged diagonal part: row i against columns (i, i1) — per-row
     // tiles, still vectorized across the columns.
     for (std::size_t i = i0; i + 1 < i1; ++i) {
       const std::size_t len = i1 - i - 1;
-      pay.pay(len);
+      if (!gate.pay(len)) break;
       tile_fn(rows + i * d, rows + (i + 1) * d, d, 1, len, tile.data(), len);
       consume(i, i + 1, 1, len, tile.data(), len);
     }
     // Full blocks strictly right of this diagonal block.
     const std::size_t tm = i1 - i0;
-    for (std::size_t j0 = i1; j0 < n; j0 += kTileCols) {
+    for (std::size_t j0 = i1; j0 < n && !gate.stopped(); j0 += kTileCols) {
       const std::size_t tn = std::min(kTileCols, n - j0);
-      pay.pay(static_cast<std::uint64_t>(tm) * tn);
+      if (!gate.pay(std::uint64_t{tm} * tn)) break;
       tile_fn(rows + i0 * d, rows + j0 * d, d, tm, tn, tile.data(), tn);
       consume(i0, j0, tm, tn, tile.data(), tn);
     }
   }
+  gate.settle();
+  tally.finish(d, where);
 }
 
 std::vector<double> DistanceOracle::pairwise_comparable(
@@ -738,8 +659,8 @@ std::vector<double> DistanceOracle::pairwise_comparable(
   std::vector<double> matrix(n * n, 0.0);
   if (n < 2) return matrix;
   // Thin adapter: mirror each upper-triangle tile into both halves of
-  // the dense matrix. Gating, counters and the raise label behave
-  // exactly as the pre-tile row-blocked loop did.
+  // the dense matrix. Gating and counters are the tile stream's, under
+  // this adapter's label.
   pairwise_upper_tiles(
       ids,
       [&](std::size_t i0, std::size_t j0, std::size_t tm, std::size_t tn,

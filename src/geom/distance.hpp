@@ -73,22 +73,21 @@ inline constexpr double kInfDist = std::numeric_limits<double>::infinity();
 /// kernels — update_nearest / update_nearest_multi — shard large scans
 /// across host cores. Sharding never changes results or counter
 /// attribution: chunks are deterministic, the per-element min-fold is
-/// order-independent, and the full eval count is charged to the
-/// calling thread before fan-out.
+/// order-independent, and a scan's pairs are charged to the calling
+/// thread's counters once its fan-out joined.
 ///
 /// Optionally binds a ChunkContext (bind_context) carrying a
-/// CancellationToken and a shared distance-eval budget. The bulk
-/// kernels then execute in gate chunks of ~exec::kGateEvals pair
-/// evaluations — on every backend, including a purely sequential
-/// scan — checking the token and charging the budget per chunk, and
-/// throw CancelledError / BudgetExceededError within one chunk of a
-/// stop condition. Gating never changes results: chunks write disjoint
-/// output slices with the same order-independent fold. On an aborted
-/// scan the thread-local counters (bulk-charged up front) over-report;
-/// the context's budget odometer reflects the work that actually ran
-/// to within one gate chunk (pairwise_comparable pre-buys credit in
-/// gate-sized batches, so an abort may leave < kGateEvals charged but
-/// unexecuted). Completed scans charge exactly their eval count.
+/// CancellationToken and a shared distance-eval budget. Every bulk scan
+/// then pays the budget and polls the token through one gate per chunk,
+/// on every backend, including a purely sequential scan, and throws
+/// CancelledError / BudgetExceededError, labelled with the public scan,
+/// on a stop. A completed scan charges the budget and the counters
+/// exactly its evaluated pairs. A stopped scan does the same for the
+/// pairs that ran, and stops within one step (an id-order scan's
+/// ~kGateEvals pairs), one pruned cell block or one tile of an
+/// exhausted budget, and within about one gate of a cancel. Gating
+/// never changes results: chunks write disjoint output slices with the
+/// same order-independent fold.
 class DistanceOracle {
  public:
   explicit DistanceOracle(const PointSet& points,
@@ -204,13 +203,10 @@ class DistanceOracle {
   /// skipped group could not have lowered best[i] even in rounded
   /// arithmetic, so the result is bit-identical to
   /// update_nearest_multi(ids, all centers, best). Evaluated pairs go to
-  /// distance_evals and
-  /// skipped pairs to pruned_pairs, together ids.size() * boxes.size();
-  /// each point's split depends only on that point, never on how a
-  /// backend shards the ids. Context-gated like the cell-pruned scans:
-  /// budget credit is bought in ~kGateEvals batches and refunded when
-  /// unused, skipped pairs count toward the token poll, and a stop
-  /// raises within about one gate.
+  /// distance_evals and skipped pairs to pruned_pairs, together
+  /// ids.size() * boxes.size(); each point's split depends only on that
+  /// point, never on how a backend shards the ids. Context-gated like
+  /// every bulk scan; skipped pairs count toward the token poll.
   void update_nearest_grouped(std::span<const index_t> ids,
                               const SampleBoxes& boxes,
                               std::span<double> best) const;
@@ -259,13 +255,13 @@ class DistanceOracle {
   /// Streams the full |a_ids| x |b_ids| rectangle of comparable
   /// distances through `consume` in cache-blocked tiles computed by the
   /// active table's pairwise_tile kernel (bit-identical to per-pair
-  /// scalar calls). Charges |a| * |b| evaluations to the calling
-  /// thread's counters in bulk; with `gated` and an armed bound
-  /// context, the budget is charged in ~kGateEvals batches ahead of the
-  /// tiles they cover and a stop condition raises (labelled `where`)
-  /// within one gate of tripping. `gated = false` skips context checks
-  /// entirely — for call sites whose pre-tile code did per-pair
-  /// comparable() calls, which never consulted the context.
+  /// scalar calls), on the calling thread. The stream pays per tile
+  /// under the class's gate contract: a stop raises (labelled `where`)
+  /// within one tile of an exhausted budget, and the budget and the
+  /// counters are charged exactly the pairs `consume` received.
+  /// `gated = false` skips context checks entirely — for call sites
+  /// whose pre-tile code did per-pair comparable() calls, which never
+  /// consulted the context.
   void pairwise_tiles(std::span<const index_t> a_ids,
                       std::span<const index_t> b_ids,
                       const TileConsumer& consume,
@@ -276,9 +272,8 @@ class DistanceOracle {
   /// through `consume` as tiles: full m x n blocks right of the
   /// diagonal plus 1 x n row tiles inside diagonal blocks, covering
   /// each unordered pair exactly once — so exactly ids.size() *
-  /// (ids.size() - 1) / 2 pair evaluations are computed, charged to
-  /// counters in bulk and to an armed bound context's budget in
-  /// ~kGateEvals batches (same gating contract as pairwise_tiles).
+  /// (ids.size() - 1) / 2 pair evaluations are computed, gated and
+  /// charged as pairwise_tiles does.
   void pairwise_upper_tiles(
       std::span<const index_t> ids, const TileConsumer& consume,
       std::string_view where = "pairwise_upper_tiles") const;

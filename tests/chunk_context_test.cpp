@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "algo/hochbaum_shmoys.hpp"
 #include "api/solver.hpp"
 #include "data/generators.hpp"
 #include "eval/evaluate.hpp"
@@ -250,6 +251,86 @@ TEST(GatedScanLabels, BudgetErrorsNameTheScanThatStopped) {
         oracle.update_nearest_multi_ordered(centers, best);
       }),
       "update_nearest_multi_ordered: distance-evaluation budget exhausted");
+}
+
+// The tile streams, the sample-box scan, the evaluation passes and
+// HS's candidate list name themselves too, each stopped by a budget of
+// 1 on the Sequential backend.
+TEST(GatedScanLabels, TileStreamsGroupedScansAndEvaluationNameTheirScan) {
+  Rng rng(15);
+  const PointSet data = data::generate_gau(4096, 4, 2, 100.0, 0.5, rng);
+  const std::vector<index_t> ids = data.all_indices();
+  const std::span<const index_t> few =
+      std::span<const index_t>(ids).subspan(0, 64);
+  const std::vector<index_t> centers{0, 1, 2};
+  const auto sequential = exec::make_backend(exec::BackendKind::Sequential, 1);
+  DistanceOracle oracle(data);
+  oracle.bind_executor(sequential.get());
+  ChunkContext ctx;
+  oracle.bind_context(&ctx);
+  const auto message = [&](const auto& scan) {
+    ctx.budget = std::make_shared<EvalBudget>(1);
+    try {
+      scan();
+    } catch (const BudgetExceededError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const auto exhausted = [](const std::string& label) {
+    return label + ": distance-evaluation budget exhausted";
+  };
+
+  const SampleBoxes boxes(data, centers);
+  EXPECT_EQ(message([&] {
+              std::vector<double> best(ids.size(), kInfDist);
+              oracle.update_nearest_grouped(ids, boxes, best);
+            }),
+            exhausted("update_nearest_grouped"));
+  EXPECT_EQ(message([&] { (void)eval::assign_clusters(oracle, ids, centers); }),
+            exhausted("assign_clusters"));
+  // One point and one center: the assignment pays the budget's one
+  // pair, so the radius pass is the scan that stops.
+  const index_t one[1] = {5};
+  EXPECT_EQ(message([&] { (void)eval::cluster_stats(oracle, one, one); }),
+            exhausted("cluster_stats"));
+  EXPECT_EQ(message([&] { (void)oracle.pairwise_comparable(few); }),
+            exhausted("pairwise_comparable"));
+  EXPECT_EQ(message([&] { (void)hochbaum_shmoys(oracle, few, 2); }),
+            exhausted("hs_candidates"));
+}
+
+// A stopped tile stream charges the budget and the counters exactly the
+// pairs its consumer received, and drains the budget to within one
+// tile (8 x 256 pairs) before it stops.
+TEST(GatedTileStreams, StoppedStreamChargesWhatItDeliveredAndDrainsTheBudget) {
+  const PointSet data = test::small_gaussian_instance(8, 4000, 13);
+  const std::vector<index_t> all = data.all_indices();
+  // 600 * 599 / 2 = 179,700 pairs.
+  const std::span<const index_t> ids =
+      std::span<const index_t>(all).subspan(0, 600);
+  const auto sequential = exec::make_backend(exec::BackendKind::Sequential, 1);
+  DistanceOracle oracle(data);
+  oracle.bind_executor(sequential.get());
+  for (const std::uint64_t budget : {100'000u, 179'000u}) {
+    SCOPED_TRACE(budget);
+    ChunkContext ctx;
+    ctx.budget = std::make_shared<EvalBudget>(budget);
+    oracle.bind_context(&ctx);
+    std::uint64_t received = 0;
+    const WorkScope scope;
+    EXPECT_THROW(oracle.pairwise_upper_tiles(
+                     ids,
+                     [&received](std::size_t, std::size_t, std::size_t tm,
+                                 std::size_t tn, const double*, std::size_t) {
+                       received += std::uint64_t{tm} * tn;
+                     }),
+                 BudgetExceededError);
+    EXPECT_EQ(ctx.budget->consumed(), received);
+    EXPECT_EQ(scope.elapsed().distance_evals, received);
+    EXPECT_LT(budget - ctx.budget->consumed(), 2048u);
+    oracle.bind_context(nullptr);
+  }
 }
 
 // ------------------------------------------------- facade acceptance bar
