@@ -33,7 +33,8 @@ void run(kc::cli::Args& args) {
     kc::EimOptions eim_options;
     eim_options.epsilon = eps;
     eim_options.seed = options.seed;
-    const kc::mr::SimCluster cluster(options.machines, 0, options.resolve_backend());
+    const kc::mr::SimCluster cluster(options.machines,
+                                     options.resolve_backend());
     const auto result = kc::eim(oracle, all, k, cluster, eim_options);
     const double value =
         kc::eval::covering_radius(oracle, all, result.centers).radius;

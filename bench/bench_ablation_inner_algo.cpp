@@ -32,7 +32,8 @@ void run(kc::cli::Args& args) {
   kc::harness::Table table({"k", "MRG(GON) value", "MRG(HS) value",
                             "GON time (s)", "HS time (s)", "HS/GON time"});
   for (const std::size_t k : ks) {
-    const kc::mr::SimCluster cluster(options.machines, 0, options.resolve_backend());
+    const kc::mr::SimCluster cluster(options.machines,
+                                     options.resolve_backend());
 
     kc::MrgOptions gon_inner;
     gon_inner.seed = options.seed;

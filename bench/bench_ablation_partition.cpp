@@ -34,7 +34,8 @@ void partition_comparison(const BenchOptions& options, std::size_t n) {
     double seconds = 0.0;
     int slot = 0;
     for (const std::size_t k : {25u, 100u}) {
-      const kc::mr::SimCluster cluster(options.machines, 0, options.resolve_backend());
+      const kc::mr::SimCluster cluster(options.machines,
+                                       options.resolve_backend());
       kc::MrgOptions mrg_options;
       mrg_options.partition = strategy;
       mrg_options.seed = options.seed;

@@ -49,7 +49,8 @@ void run(kc::cli::Args& args) {
   kc::harness::Table table({"capacity c", "reduce rounds", "guarantee",
                             "value", "certified ratio", "sim time (s)"});
   for (const std::size_t c : capacities) {
-    const kc::mr::SimCluster cluster(options.machines, 0, options.resolve_backend());
+    const kc::mr::SimCluster cluster(options.machines,
+                                     options.resolve_backend());
     kc::MrgOptions mrg_options;
     mrg_options.capacity = c;
     mrg_options.seed = options.seed;

@@ -156,8 +156,7 @@ SolveReport Solver::solve(const SolveRequest& request) {
 
   std::optional<mr::SimCluster> cluster;
   if (info.uses_cluster) {
-    cluster.emplace(request.exec.machines, /*capacity_items=*/0,
-                    context.backend);
+    cluster.emplace(request.exec.machines, context.backend);
     // Machine-failure injection is keyed per request: same request
     // seed + same FaultPlan seed => the same machines die, on every
     // backend (see SimCluster::set_fault_scope).

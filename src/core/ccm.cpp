@@ -88,15 +88,12 @@ CcmResult ccm(const DistanceOracle& oracle, std::span<const index_t> pts,
   Rng rng(options.seed);
   const auto parts = mr::partition_items(pts, cluster.machines(),
                                          options.partition, &rng);
-  for (const auto& part : parts) {
-    cluster.check_capacity(part.size(), "ccm-estimate");
-  }
 
   // ---- Round 1: local GON per machine -> local centers + radius.
   check_cancelled(options, "ccm-estimate");
   std::vector<std::vector<index_t>> local_centers(parts.size());
   std::vector<double> local_radius(parts.size(), 0.0);
-  auto& estimate_round = cluster.run_indexed_round_retrying(
+  auto& estimate_round = cluster.run_round(
       "ccm-estimate", static_cast<int>(parts.size()),
       [&](int machine) {
         const auto& part = parts[static_cast<std::size_t>(machine)];
@@ -135,7 +132,7 @@ CcmResult ccm(const DistanceOracle& oracle, std::span<const index_t> pts,
         options.epsilon * r_hat / (2.0 * metric_norm(oracle.kind(), oracle.dim()));
     std::vector<std::vector<index_t>> emitted(parts.size());
     std::vector<double> widths(parts.size(), width);
-    auto& grid_round = cluster.run_indexed_round_retrying(
+    auto& grid_round = cluster.run_round(
         "ccm-grid", static_cast<int>(parts.size()),
         [&](int machine) {
           const std::size_t i = static_cast<std::size_t>(machine);
@@ -167,9 +164,8 @@ CcmResult ccm(const DistanceOracle& oracle, std::span<const index_t> pts,
 
   // ---- Round 3: one reducer solves the coreset sequentially.
   check_cancelled(options, "ccm-final");
-  cluster.check_capacity(coreset.size(), "ccm-final");
   KCenterResult final_result;
-  auto& final_round = cluster.run_indexed_round_retrying(
+  auto& final_round = cluster.run_round(
       "ccm-final", 1,
       [&](int) {
         final_result =

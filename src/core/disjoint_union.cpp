@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/driver.hpp"
+#include "exec/scheduler.hpp"
 
 namespace kc {
 
@@ -31,13 +32,9 @@ DisjointUnionResult mrg_disjoint_union(const DistanceOracle& oracle,
   std::vector<index_t> union_centers;
   union_centers.reserve(instances * k);
   int max_chunk_rounds = 0;
-  const std::size_t base = pts.size() / instances;
-  const std::size_t extra = pts.size() % instances;
-  std::size_t pos = 0;
   std::uint64_t evals_before_chunk = 0;  // completed chunks' total evals
   for (std::size_t chunk = 0; chunk < instances; ++chunk) {
-    const std::size_t len = base + (chunk < extra ? 1 : 0);
-    if (len == 0) continue;
+    const auto [lo, hi] = exec::chunk_bounds(pts.size(), instances, chunk);
     MrgOptions chunk_options = options.mrg;
     chunk_options.seed = options.mrg.seed + chunk * 7919;
     if (options.mrg.progress) {
@@ -54,9 +51,10 @@ DisjointUnionResult mrg_disjoint_union(const DistanceOracle& oracle,
         options.mrg.progress(global);
       };
     }
+    // Each chunk's MRG starts a fresh trace, so its round ordinals,
+    // and the machine-loss keys mixed from them, repeat chunk to chunk.
     MrgResult chunk_result =
-        mrg(oracle, pts.subspan(pos, len), k, cluster, chunk_options);
-    pos += len;
+        mrg(oracle, pts.subspan(lo, hi - lo), k, cluster, chunk_options);
     evals_before_chunk += chunk_result.trace.total_dist_evals();
     max_chunk_rounds =
         std::max(max_chunk_rounds, chunk_result.reduce_rounds);
@@ -67,7 +65,7 @@ DisjointUnionResult mrg_disjoint_union(const DistanceOracle& oracle,
 
   // Final sequential pass over the union of chunk solutions.
   KCenterResult final_result;
-  auto& union_round = cluster.run_indexed_round_retrying(
+  auto& union_round = cluster.run_round(
       "union-final", 1,
       [&](int) {
         final_result = run_sequential(options.mrg.final_algo, oracle,

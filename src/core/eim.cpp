@@ -9,6 +9,7 @@
 #include <string_view>
 #include <vector>
 
+#include "exec/scheduler.hpp"
 #include "geom/spatial_index.hpp"
 #include "rng/rng.hpp"
 
@@ -41,57 +42,11 @@ double eim_loop_threshold(std::size_t n, std::size_t k,
 
 namespace {
 
-struct Chunk {
-  std::size_t lo;
-  std::size_t hi;
-};
-
 void check_cancelled(const EimOptions& options, int iterations_done) {
   if (options.cancel.cancelled()) {
     throw CancelledError("eim: cancelled after " +
                          std::to_string(iterations_done) + " iteration(s)");
   }
-}
-
-/// Runs one logical round, re-running it on the survivors whenever the
-/// cluster loses machines (mr::MachineFailure). `attempt` receives the
-/// machine count to use and must rebuild its chunking/output buffers —
-/// round bodies are written to be idempotent (min-folds, buffers
-/// reassigned per attempt), so a re-run over already-touched state is
-/// safe. Attempt 0 with the full machine count is byte-identical to
-/// the pre-fault code path.
-mr::RoundStats& run_round_with_retry(
-    std::string_view name, std::size_t machines,
-    const std::function<mr::RoundStats&(std::size_t)>& attempt) {
-  std::size_t machines_now = machines;
-  for (int a = 0; a < mr::kMaxRoundAttempts; ++a) {
-    try {
-      return attempt(machines_now);
-    } catch (const mr::MachineFailure& failure) {
-      machines_now = std::min(machines_now,
-                              static_cast<std::size_t>(failure.survivors()));
-    }
-  }
-  throw std::runtime_error("eim: round '" + std::string(name) + "' failed " +
-                           std::to_string(mr::kMaxRoundAttempts) +
-                           " attempts (machine loss)");
-}
-
-/// Splits [0, n) into at most `machines` near-equal contiguous ranges.
-[[nodiscard]] std::vector<Chunk> make_chunks(std::size_t n,
-                                             std::size_t machines) {
-  const std::size_t parts = std::max<std::size_t>(1, std::min(machines, n));
-  std::vector<Chunk> chunks;
-  chunks.reserve(parts);
-  const std::size_t base = n / parts;
-  const std::size_t extra = n % parts;
-  std::size_t pos = 0;
-  for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t len = base + (p < extra ? 1 : 0);
-    chunks.push_back({pos, pos + len});
-    pos += len;
-  }
-  return chunks;
 }
 
 }  // namespace
@@ -126,16 +81,13 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
   if (static_cast<double>(n) <= loop_threshold || loop_threshold <= 0.0) {
     check_cancelled(options, 0);
     KCenterResult final_result;
-    auto& round = run_round_with_retry(
-        "eim-final(degenerate)", 1, [&](std::size_t) -> mr::RoundStats& {
-          return cluster.run_indexed_round(
-              "eim-final(degenerate)", 1,
-              [&](int) {
-                final_result = run_sequential(options.final_algo, oracle, pts,
-                                              k, rng.split(0)());
-              },
-              result.trace);
-        });
+    auto& round = cluster.run_round(
+        "eim-final(degenerate)", 1,
+        [&](int) {
+          final_result = run_sequential(options.final_algo, oracle, pts, k,
+                                        rng.split(0)());
+        },
+        result.trace);
     round.items_in = n;
     round.items_out = final_result.centers.size();
     round.shuffle_items = n;
@@ -169,34 +121,36 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
 
     // ---- Round 1 (Algorithm 2, lines 3-4): per-machine Bernoulli
     // sampling of the new S members and the pivot-candidate set H.
-    std::vector<Chunk> chunks;
+    // A round that loses machines re-chunks R across the survivors.
+    std::size_t chunks = 0;
     std::vector<std::vector<index_t>> sampled_parts;
     std::vector<std::vector<index_t>> pivot_parts;
-    auto& sample_round = run_round_with_retry(
-        "eim-sample", m, [&](std::size_t machines_now) -> mr::RoundStats& {
-          chunks = make_chunks(r_set.size(), machines_now);
-          sampled_parts.assign(chunks.size(), {});
-          pivot_parts.assign(chunks.size(), {});
-          return cluster.run_indexed_round(
-              "eim-sample", static_cast<int>(chunks.size()),
-              [&](int machine) {
-                const auto [lo, hi] =
-                    chunks[static_cast<std::size_t>(machine)];
-                Rng machine_rng =
-                    Rng(options.seed)
-                        .split((static_cast<std::uint64_t>(result.iterations)
-                                << 32) |
-                               static_cast<std::uint64_t>(machine));
-                auto& sampled =
-                    sampled_parts[static_cast<std::size_t>(machine)];
-                auto& pivots = pivot_parts[static_cast<std::size_t>(machine)];
-                for (std::size_t i = lo; i < hi; ++i) {
-                  const index_t p = r_set[i];
-                  if (machine_rng.bernoulli(p_sample)) sampled.push_back(p);
-                  if (machine_rng.bernoulli(p_pivot)) pivots.push_back(p);
-                }
-              },
-              result.trace);
+    const auto chunk_sample = [&](std::size_t machines) {
+      chunks = std::min(machines, r_set.size());
+      sampled_parts.assign(chunks, {});
+      pivot_parts.assign(chunks, {});
+      return static_cast<int>(chunks);
+    };
+    auto& sample_round = cluster.run_round(
+        "eim-sample", chunk_sample(m),
+        [&](int machine) {
+          const auto [lo, hi] = exec::chunk_bounds(
+              r_set.size(), chunks, static_cast<std::size_t>(machine));
+          Rng machine_rng =
+              Rng(options.seed)
+                  .split((static_cast<std::uint64_t>(result.iterations) << 32) |
+                         static_cast<std::uint64_t>(machine));
+          auto& sampled = sampled_parts[static_cast<std::size_t>(machine)];
+          auto& pivots = pivot_parts[static_cast<std::size_t>(machine)];
+          for (std::size_t i = lo; i < hi; ++i) {
+            const index_t p = r_set[i];
+            if (machine_rng.bernoulli(p_sample)) sampled.push_back(p);
+            if (machine_rng.bernoulli(p_pivot)) pivots.push_back(p);
+          }
+        },
+        result.trace,
+        [&](int survivors) {
+          return chunk_sample(static_cast<std::size_t>(survivors));
         });
 
     std::vector<index_t> delta_positions;  // new S members (local positions)
@@ -228,34 +182,31 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
     // through them.
     double removal_threshold = -kInfDist;
     std::optional<SampleBoxes> boxes;
-    auto& select_round = run_round_with_retry(
-        "eim-select", 1, [&](std::size_t) -> mr::RoundStats& {
-          return cluster.run_indexed_round(
-              "eim-select", 1,
-              [&](int) {
-                if (boxes_enabled) boxes.emplace(oracle.points(), delta_global);
-                if (pivot_positions.empty()) return;
-                std::vector<index_t> h_global(pivot_positions.size());
-                std::vector<double> h_best(pivot_positions.size());
-                for (std::size_t i = 0; i < pivot_positions.size(); ++i) {
-                  h_global[i] = pts[pivot_positions[i]];
-                  h_best[i] = dist_to_sample[pivot_positions[i]];
-                }
-                if (boxes) {
-                  oracle.update_nearest_grouped(h_global, *boxes, h_best);
-                } else {
-                  oracle.update_nearest_multi(h_global, delta_global, h_best);
-                }
-                for (std::size_t i = 0; i < pivot_positions.size(); ++i) {
-                  dist_to_sample[pivot_positions[i]] = h_best[i];
-                }
-                std::sort(h_best.begin(), h_best.end(), std::greater<>());
-                const auto rank = static_cast<std::size_t>(
-                    std::max<long long>(1, std::llround(options.phi * log_n)));
-                removal_threshold = h_best[std::min(rank, h_best.size()) - 1];
-              },
-              result.trace);
-        });
+    auto& select_round = cluster.run_round(
+        "eim-select", 1,
+        [&](int) {
+          if (boxes_enabled) boxes.emplace(oracle.points(), delta_global);
+          if (pivot_positions.empty()) return;
+          std::vector<index_t> h_global(pivot_positions.size());
+          std::vector<double> h_best(pivot_positions.size());
+          for (std::size_t i = 0; i < pivot_positions.size(); ++i) {
+            h_global[i] = pts[pivot_positions[i]];
+            h_best[i] = dist_to_sample[pivot_positions[i]];
+          }
+          if (boxes) {
+            oracle.update_nearest_grouped(h_global, *boxes, h_best);
+          } else {
+            oracle.update_nearest_multi(h_global, delta_global, h_best);
+          }
+          for (std::size_t i = 0; i < pivot_positions.size(); ++i) {
+            dist_to_sample[pivot_positions[i]] = h_best[i];
+          }
+          std::sort(h_best.begin(), h_best.end(), std::greater<>());
+          const auto rank = static_cast<std::size_t>(
+              std::max<long long>(1, std::llround(options.phi * log_n)));
+          removal_threshold = h_best[std::min(rank, h_best.size()) - 1];
+        },
+        result.trace);
     select_round.items_in = pivot_positions.size() + sample_global.size();
     select_round.items_out = 1;
     select_round.shuffle_items = pivot_positions.size() + sample_global.size();
@@ -265,51 +216,44 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
     // that are now represented at least as well as the pivot. Sampled
     // points always leave R (the §4.1 termination fix); the `<=`
     // comparison removes distance ties (the other §4.1 fix).
-    std::vector<std::vector<index_t>> survivor_parts;
-    auto& prune_round = run_round_with_retry(
-        "eim-prune", chunks.size(),
-        [&](std::size_t machines_now) -> mr::RoundStats& {
-          // A retry re-chunks R over the survivors; the per-point
-          // min-fold of dist_to_sample is idempotent, so chunks that
-          // already ran just fold in no-ops.
-          if (machines_now != chunks.size()) {
-            chunks = make_chunks(r_set.size(), machines_now);
+    // A retry re-chunks R over the survivors; the per-point min-fold of
+    // dist_to_sample is idempotent, so chunks that already ran just fold
+    // in no-ops.
+    std::vector<std::vector<index_t>> survivor_parts(chunks);
+    auto& prune_round = cluster.run_round(
+        "eim-prune", static_cast<int>(chunks),
+        [&](int machine) {
+          const auto [lo, hi] = exec::chunk_bounds(
+              r_set.size(), chunks, static_cast<std::size_t>(machine));
+          const std::size_t len = hi - lo;
+          std::vector<index_t> chunk_global(len);
+          std::vector<double> chunk_best(len);
+          for (std::size_t i = 0; i < len; ++i) {
+            chunk_global[i] = pts[r_set[lo + i]];
+            chunk_best[i] = dist_to_sample[r_set[lo + i]];
           }
-          survivor_parts.assign(chunks.size(), {});
-          return cluster.run_indexed_round(
-              "eim-prune", static_cast<int>(chunks.size()),
-              [&](int machine) {
-                const auto [lo, hi] =
-                    chunks[static_cast<std::size_t>(machine)];
-                const std::size_t len = hi - lo;
-                std::vector<index_t> chunk_global(len);
-                std::vector<double> chunk_best(len);
-                for (std::size_t i = 0; i < len; ++i) {
-                  chunk_global[i] = pts[r_set[lo + i]];
-                  chunk_best[i] = dist_to_sample[r_set[lo + i]];
-                }
-                if (boxes) {
-                  oracle.update_nearest_grouped(chunk_global, *boxes,
-                                                chunk_best);
-                } else {
-                  oracle.update_nearest_multi(chunk_global, delta_global,
-                                              chunk_best);
-                }
-                auto& survivors =
-                    survivor_parts[static_cast<std::size_t>(machine)];
-                for (std::size_t i = 0; i < len; ++i) {
-                  const index_t p = r_set[lo + i];
-                  dist_to_sample[p] = chunk_best[i];
-                  const bool pruned = options.tie_breaking_removal
-                                          ? chunk_best[i] <= removal_threshold
-                                          : chunk_best[i] < removal_threshold;
-                  if (pruned || (options.remove_sampled && in_sample[p])) {
-                    continue;
-                  }
-                  survivors.push_back(p);
-                }
-              },
-              result.trace);
+          if (boxes) {
+            oracle.update_nearest_grouped(chunk_global, *boxes, chunk_best);
+          } else {
+            oracle.update_nearest_multi(chunk_global, delta_global,
+                                        chunk_best);
+          }
+          auto& survivors = survivor_parts[static_cast<std::size_t>(machine)];
+          for (std::size_t i = 0; i < len; ++i) {
+            const index_t p = r_set[lo + i];
+            dist_to_sample[p] = chunk_best[i];
+            const bool pruned = options.tie_breaking_removal
+                                    ? chunk_best[i] <= removal_threshold
+                                    : chunk_best[i] < removal_threshold;
+            if (pruned || (options.remove_sampled && in_sample[p])) continue;
+            survivors.push_back(p);
+          }
+        },
+        result.trace,
+        [&](int survivors) {
+          chunks = std::min(static_cast<std::size_t>(survivors), r_set.size());
+          survivor_parts.assign(chunks, {});
+          return static_cast<int>(chunks);
         });
 
     std::vector<index_t> next_r;
@@ -322,8 +266,7 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
     // per group) when there are boxes.
     prune_round.shuffle_items =
         r_set.size() +
-        chunks.size() *
-            (delta_global.size() + (boxes ? 2 * boxes->group_count() : 0));
+        chunks * (delta_global.size() + (boxes ? 2 * boxes->group_count() : 0));
 
     // With |R| above the loop threshold the no-progress probability is
     // astronomically small (it requires an empty S *and* H draw); the
@@ -342,16 +285,13 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
   for (const index_t p : r_set) final_set.push_back(pts[p]);
 
   KCenterResult final_result;
-  auto& final_round = run_round_with_retry(
-      "eim-final", 1, [&](std::size_t) -> mr::RoundStats& {
-        return cluster.run_indexed_round(
-            "eim-final", 1,
-            [&](int) {
-              final_result = run_sequential(options.final_algo, oracle,
-                                            final_set, k, rng.split(~0ull)());
-            },
-            result.trace);
-      });
+  auto& final_round = cluster.run_round(
+      "eim-final", 1,
+      [&](int) {
+        final_result = run_sequential(options.final_algo, oracle, final_set, k,
+                                      rng.split(~0ull)());
+      },
+      result.trace);
   final_round.items_in = final_set.size();
   final_round.items_out = final_result.centers.size();
   final_round.shuffle_items = final_set.size();

@@ -69,79 +69,62 @@ MrgResult mrg(const DistanceOracle& oracle, std::span<const index_t> pts,
           " machines; k is too large for capacity " + std::to_string(capacity));
     }
 
-    // Machine failure: a round that loses machines is re-run entirely
-    // on the survivors (re-partitioned — the lost machines' shares must
-    // land somewhere). Attempt 0 is byte-identical to the pre-fault
-    // code path: same partition, same rng draws, same seeds.
-    std::size_t machines_now = machines_this_round;
-    std::vector<std::vector<index_t>> emitted;
-    mr::RoundStats* round = nullptr;
-    for (int attempt = 0; round == nullptr; ++attempt) {
-      if (attempt >= mr::kMaxRoundAttempts) {
-        throw std::runtime_error(
-            "mrg: round 'mrg-reduce' failed " +
-            std::to_string(mr::kMaxRoundAttempts) + " attempts (machine loss)");
+    // Explicit assignments address the first round's machines, so later
+    // rounds and retries on fewer survivors fall back to Block.
+    std::span<const int> assignment;
+    if (first_round && options.partition == mr::PartitionStrategy::Explicit) {
+      if (!options.explicit_assignment ||
+          options.explicit_assignment->size() != sample.size()) {
+        throw std::invalid_argument(
+            "mrg: Explicit partition requires one machine id per input "
+            "point");
       }
-      // Explicit assignments address the original machine count, so a
-      // retry on fewer survivors falls back to Block.
-      const mr::PartitionStrategy strategy =
-          ((first_round && attempt == 0) ||
-           options.partition != mr::PartitionStrategy::Explicit)
-              ? options.partition
-              : mr::PartitionStrategy::Block;
-      std::span<const int> assignment;
-      if (strategy == mr::PartitionStrategy::Explicit) {
-        if (!options.explicit_assignment ||
-            options.explicit_assignment->size() != sample.size()) {
-          throw std::invalid_argument(
-              "mrg: Explicit partition requires one machine id per input "
-              "point");
-        }
-        assignment = *options.explicit_assignment;
-      }
-
-      const auto parts =
-          mr::partition_items(sample, static_cast<int>(machines_now), strategy,
-                              &rng, assignment);
-      if (attempt == 0) {
-        // Capacity is advisory; a retry deliberately overloads the
-        // survivors rather than failing the job.
-        for (const auto& part : parts) {
-          cluster.check_capacity(part.size(), "mrg-reduce");
-        }
-      }
-
-      // Reducers: k centers from each part via the inner algorithm.
-      emitted.assign(parts.size(), {});
-      try {
-        round = &cluster.run_indexed_round(
-            "mrg-reduce", static_cast<int>(parts.size()),
-            [&](int machine) {
-              const auto& part = parts[static_cast<std::size_t>(machine)];
-              const std::uint64_t machine_seed =
-                  Rng(options.seed)
-                      .split(static_cast<std::uint64_t>(machine))();
-              KCenterResult local = run_sequential(
-                  options.inner, oracle, part, k, machine_seed,
-                  options.first_center == GonzalezOptions::FirstCenter::Random);
-              emitted[static_cast<std::size_t>(machine)] =
-                  std::move(local.centers);
-            },
-            result.trace);
-      } catch (const mr::MachineFailure& failure) {
-        machines_now = std::min(
-            machines_now, static_cast<std::size_t>(failure.survivors()));
-      }
+      assignment = *options.explicit_assignment;
     }
+    const mr::PartitionStrategy fallback =
+        options.partition == mr::PartitionStrategy::Explicit
+            ? mr::PartitionStrategy::Block
+            : options.partition;
+    std::vector<std::vector<index_t>> parts;
+    std::vector<std::vector<index_t>> emitted;
+    const auto partition = [&](std::size_t machines,
+                               mr::PartitionStrategy strategy) {
+      parts = mr::partition_items(sample, static_cast<int>(machines),
+                                  strategy, &rng, assignment);
+      emitted.assign(parts.size(), {});
+      return static_cast<int>(parts.size());
+    };
+
+    // Reducers: k centers from each part via the inner algorithm. A
+    // round that loses machines is re-partitioned across the survivors:
+    // the lost machines' shares must land somewhere.
+    mr::RoundStats& round = cluster.run_round(
+        "mrg-reduce",
+        partition(machines_this_round,
+                  first_round ? options.partition : fallback),
+        [&](int machine) {
+          const auto& part = parts[static_cast<std::size_t>(machine)];
+          const std::uint64_t machine_seed =
+              Rng(options.seed).split(static_cast<std::uint64_t>(machine))();
+          KCenterResult local = run_sequential(
+              options.inner, oracle, part, k, machine_seed,
+              options.first_center == GonzalezOptions::FirstCenter::Random);
+          emitted[static_cast<std::size_t>(machine)] =
+              std::move(local.centers);
+        },
+        result.trace,
+        [&](int survivors) {
+          return partition(static_cast<std::size_t>(survivors), fallback);
+        });
 
     std::size_t emitted_total = 0;
     for (const auto& e : emitted) emitted_total += e.size();
 
-    round->items_in = sample.size();
-    round->items_out = emitted_total;
+    round.items_in = sample.size();
+    round.items_out = emitted_total;
     // The paper does not charge data movement (§7.1); we still record
     // the records that crossed machines for completeness.
-    round->shuffle_items = sample.size();
+    round.shuffle_items = sample.size();
 
     sample.clear();
     sample.reserve(emitted_total);
@@ -158,32 +141,19 @@ MrgResult mrg(const DistanceOracle& oracle, std::span<const index_t> pts,
   // Final round: the mapper sends all of S to a single reducer, which
   // runs the sequential algorithm to pick the k result centers.
   check_cancelled(options, result.reduce_rounds);
-  cluster.check_capacity(sample.size(), "mrg-final");
   KCenterResult final_result;
-  mr::RoundStats* final_round = nullptr;
-  for (int attempt = 0; final_round == nullptr; ++attempt) {
-    if (attempt >= mr::kMaxRoundAttempts) {
-      throw std::runtime_error(
-          "mrg: round 'mrg-final' failed " +
-          std::to_string(mr::kMaxRoundAttempts) + " attempts (machine loss)");
-    }
-    try {
-      final_round = &cluster.run_indexed_round(
-          "mrg-final", 1,
-          [&](int) {
-            final_result = run_sequential(
-                options.final_algo, oracle, sample, k,
-                Rng(options.seed).split(~0ull)(),
-                options.first_center == GonzalezOptions::FirstCenter::Random);
-          },
-          result.trace);
-    } catch (const mr::MachineFailure&) {
-      // One reducer; the retry simply runs it again.
-    }
-  }
-  final_round->items_in = sample.size();
-  final_round->items_out = final_result.centers.size();
-  final_round->shuffle_items = sample.size();
+  mr::RoundStats& final_round = cluster.run_round(
+      "mrg-final", 1,
+      [&](int) {
+        final_result = run_sequential(
+            options.final_algo, oracle, sample, k,
+            Rng(options.seed).split(~0ull)(),
+            options.first_center == GonzalezOptions::FirstCenter::Random);
+      },
+      result.trace);
+  final_round.items_in = sample.size();
+  final_round.items_out = final_result.centers.size();
+  final_round.shuffle_items = sample.size();
 
   result.centers = std::move(final_result.centers);
   result.radius_comparable = final_result.radius_comparable;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "exec/scheduler.hpp"
+
 namespace kc::mr {
 
 std::string_view to_string(PartitionStrategy s) noexcept {
@@ -23,14 +25,10 @@ namespace {
   const std::size_t m = static_cast<std::size_t>(machines);
   const std::size_t parts = std::min(m, n);
   std::vector<std::vector<index_t>> out(parts);
-  // Spread the remainder so sizes differ by at most one, all <= ceil(n/m).
-  const std::size_t base = n / parts;
-  const std::size_t extra = n % parts;
-  std::size_t pos = 0;
+  // Sizes differ by at most one, all <= ceil(n/m).
   for (std::size_t p = 0; p < parts; ++p) {
-    const std::size_t len = base + (p < extra ? 1 : 0);
-    out[p].assign(items.begin() + pos, items.begin() + pos + len);
-    pos += len;
+    const auto [lo, hi] = exec::chunk_bounds(n, parts, p);
+    out[p].assign(items.begin() + lo, items.begin() + hi);
   }
   return out;
 }

@@ -25,9 +25,10 @@ struct RoundStats {
   int round_index = 0;         ///< 0-based position within the job
   int machines_used = 0;       ///< reducers that ran this round
   /// Simulated machines lost to injected failure ("sim.machine" fault
-  /// site) before doing any work. A round with losses is recorded and
-  /// then re-run by the algorithm on the survivors, so a trace may
-  /// contain both the failed and the retried round.
+  /// site) before doing any work. SimCluster::run_round records an
+  /// attempt with losses and then runs the round again (re-planned for
+  /// the survivors by MRG and EIM, the same tasks otherwise), so a
+  /// trace holds every failed attempt before the one that completed.
   int machines_lost = 0;
 
   double max_machine_seconds = 0.0;   ///< the paper's "processing time"

@@ -449,7 +449,7 @@ TEST(ApiDeterminism, SolverMatchesFreeFunctionPathOnAllBackends) {
     SCOPED_TRACE(std::string(backend->name()));
     DistanceOracle oracle(data);
     oracle.bind_executor(backend.get());
-    const mr::SimCluster cluster(machines, 0, backend);
+    const mr::SimCluster cluster(machines, backend);
 
     api::SolveRequest request;
     request.points = &data;

@@ -70,7 +70,7 @@ TEST(BackendDeterminism, MrgInvariantAcrossBackends) {
   std::vector<MrgResult> results;
   for (const auto& backend : backends) {
     const DistanceOracle oracle = sharded_oracle(ps, backend.get());
-    const mr::SimCluster cluster(40, 0, backend);
+    const mr::SimCluster cluster(40, backend);
     results.push_back(mrg(oracle, all, 5, cluster, options));
   }
 
@@ -99,7 +99,7 @@ TEST(BackendDeterminism, CcmInvariantAcrossBackends) {
   std::vector<CcmResult> results;
   for (const auto& backend : backends) {
     const DistanceOracle oracle = sharded_oracle(ps, backend.get());
-    const mr::SimCluster cluster(16, 0, backend);
+    const mr::SimCluster cluster(16, backend);
     results.push_back(ccm(oracle, all, 5, cluster, options));
   }
 
@@ -127,7 +127,7 @@ TEST(BackendDeterminism, EimInvariantAcrossBackends) {
   std::vector<EimResult> results;
   for (const auto& backend : backends) {
     const DistanceOracle oracle = sharded_oracle(ps, backend.get());
-    const mr::SimCluster cluster(10, 0, backend);
+    const mr::SimCluster cluster(10, backend);
     results.push_back(eim(oracle, all, 5, cluster, options));
   }
 
@@ -179,7 +179,7 @@ TEST(BackendDeterminism, SimdKernelsMatchForcedScalarEndToEnd) {
   const PointSet ps = test::small_gaussian_instance(5, 2000, 33);
   const auto all = ps.all_indices();
   const auto backend = exec::make_backend(exec::BackendKind::ThreadPool, 4);
-  const mr::SimCluster cluster(10, 0, backend);
+  const mr::SimCluster cluster(10, backend);
 
   DistanceOracle active = sharded_oracle(ps, backend.get());
   DistanceOracle forced = sharded_oracle(ps, backend.get());
@@ -202,7 +202,7 @@ TEST(BackendDeterminism, SimdKernelsMatchForcedScalarEndToEnd) {
   MrgOptions mrg_options;
   mrg_options.seed = 99;
   mrg_options.capacity = 60;  // multi-round regime, as in the MRG test above
-  const mr::SimCluster mrg_cluster(40, 0, backend);
+  const mr::SimCluster mrg_cluster(40, backend);
   const auto mrg_a = mrg(mrg_active, mrg_all, 5, mrg_cluster, mrg_options);
   const auto mrg_b = mrg(mrg_forced, mrg_all, 5, mrg_cluster, mrg_options);
   EXPECT_EQ(mrg_a.centers, mrg_b.centers);

@@ -9,16 +9,20 @@
 // KC_FAULT_PLAN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "api/solver.hpp"
+#include "data/generators.hpp"
 #include "fault/fault.hpp"
 #include "rng/rng.hpp"
 #include "svc/json.hpp"
@@ -466,6 +470,104 @@ TEST(ChaosMachineFailure, UnsurvivableLossExhaustsAttemptsAsInternalError) {
   EXPECT_NE(report.find("error")->string.find("machine loss"),
             std::string::npos)
       << result.reports[0];
+}
+
+/// One solve of the golden-trace check: the centers, then each round
+/// attempt's name, machines used, machines lost, and evaluated plus
+/// pruned pairs (a sum that reads the same with pruning forced off).
+[[nodiscard]] std::string render_solve(const api::SolveReport& report) {
+  std::ostringstream out;
+  out << "centers";
+  for (const index_t c : report.centers) out << ' ' << c;
+  out << '\n';
+  for (const mr::RoundStats& round : report.trace.rounds()) {
+    out << round.name << ' ' << round.machines_used << ' '
+        << round.machines_lost << ' '
+        << round.total_dist_evals + round.total_pairs_pruned << '\n';
+  }
+  return out.str();
+}
+
+struct GoldenSolve {
+  const char* algorithm;
+  const char* rendered;  ///< render_solve() of the recorded solve
+};
+
+// The plan below loses machines in every solve. EIM samples at this
+// shape, so its re-chunked sample and prune retries are pinned too;
+// mrg-du's two chunk MRGs lose the same machines, since each starts a
+// fresh trace and so repeats the round ordinals the loss keys mix in.
+const GoldenSolve kGoldenSolves[] = {
+    {"mrg",
+     "centers 0 702 5694 15561 19858 17809 7055 11724 11406 1936 "
+     "4534 13970 10335 19566 11936 12470 5900 11748 661 19264 384 "
+     "15133 4307 5757 7178\n"
+     "mrg-reduce 50 1 490000\n"
+     "mrg-reduce 49 3 469375\n"
+     "mrg-reduce 46 0 500000\n"
+     "mrg-final 1 0 28750\n"},
+    {"eim",
+     "centers 4 9413 19060 6217 661 8091 7079 9538 13535 7833 "
+     "18802 6467 16473 10335 5900 8666 9855 6859 19264 15133 384 "
+     "16153 11748 7893 3498\n"
+     "eim-sample 50 1 0\n"
+     "eim-sample 49 3 0\n"
+     "eim-sample 46 0 0\n"
+     "eim-select 1 0 125097\n"
+     "eim-prune 46 0 51060000\n"
+     "eim-sample 50 0 0\n"
+     "eim-select 1 0 117315\n"
+     "eim-prune 50 1 30220344\n"
+     "eim-prune 49 2 29576415\n"
+     "eim-prune 47 2 29524275\n"
+     "eim-prune 45 0 30835596\n"
+     "eim-final 1 0 333100\n"},
+    {"ccm",
+     "centers 0 702 9587 13736 10950 5486 7055 13946 11406 19530 "
+     "19192 2858 10335 10365 9855 6864 15471 19264 15006 661 11393 "
+     "15133 14048 17461 3498\n"
+     "ccm-estimate 50 1 490000\n"
+     "ccm-estimate 50 3 470000\n"
+     "ccm-estimate 50 1 490000\n"
+     "ccm-estimate 50 2 480000\n"
+     "ccm-estimate 50 0 500000\n"
+     "ccm-grid 50 0 0\n"
+     "ccm-final 1 0 234275\n"},
+    {"mrg-du",
+     "centers 0 702 9587 13736 7096 5486 7055 4277 5918 356 2326 "
+     "8938 10335 9857 11936 5900 15471 11748 19264 661 6917 7833 "
+     "15133 7810 3498\n"
+     "mrg-reduce 50 1 245000\n"
+     "mrg-reduce 49 3 234700\n"
+     "mrg-reduce 46 0 250000\n"
+     "mrg-final 1 0 28750\n"
+     "mrg-reduce 50 1 245000\n"
+     "mrg-reduce 49 3 234700\n"
+     "mrg-reduce 46 0 250000\n"
+     "mrg-final 1 0 28750\n"
+     "union-final 1 0 1250\n"},
+};
+
+TEST(ChaosMachineFailure, RetriedRoundsReplayTheirGoldenTraces) {
+  Rng rng(23);
+  const PointSet data = data::generate_gau(20'000, 25, 2, 100.0, 0.5, rng);
+  const fault::ScopedPlan armed("seed=5;sim.machine:p=0.02");
+  for (const GoldenSolve& golden : kGoldenSolves) {
+    SCOPED_TRACE(golden.algorithm);
+    api::SolveRequest request;
+    request.points = &data;
+    request.k = 25;
+    request.algorithm = golden.algorithm;
+    request.exec.kind = exec::BackendKind::Sequential;
+    request.exec.machines = 50;
+    request.seed = 1;
+    const api::SolveReport report = api::Solver().solve(request);
+    const auto& rounds = report.trace.rounds();
+    EXPECT_TRUE(std::any_of(rounds.begin(), rounds.end(), [](const auto& r) {
+      return r.machines_lost > 0;
+    }));
+    EXPECT_EQ(render_solve(report), golden.rendered);
+  }
 }
 
 // -------------------------------------------------------- the soak

@@ -122,7 +122,7 @@ TEST(FailureInjection, MrgMaxRoundsTrips) {
 TEST(FailureInjection, TaskExceptionPropagatesFromCluster) {
   const mr::SimCluster cluster(2);
   mr::JobTrace trace;
-  EXPECT_THROW(cluster.run_indexed_round(
+  EXPECT_THROW(cluster.run_round(
                    "boom", 2,
                    [](int machine) {
                      if (machine == 1) throw std::runtime_error("boom");

@@ -6,7 +6,9 @@
 #include <numeric>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
+#include "fault/fault.hpp"
 #include "geom/distance.hpp"
 #include "mapreduce/cluster.hpp"
 #include "mapreduce/partition.hpp"
@@ -176,8 +178,7 @@ TEST(SimCluster, RunsAllTasksAndRecordsStats) {
   const SimCluster cluster(4);
   JobTrace trace;
   std::vector<int> hits(4, 0);
-  cluster.run_indexed_round("work", 4, [&](int machine) { hits[machine] = 1; },
-                            trace);
+  cluster.run_round("work", 4, [&](int machine) { hits[machine] = 1; }, trace);
   for (const int h : hits) EXPECT_EQ(h, 1);
   ASSERT_EQ(trace.num_rounds(), 1);
   const auto& round = trace.rounds()[0];
@@ -190,7 +191,7 @@ TEST(SimCluster, RunsAllTasksAndRecordsStats) {
 TEST(SimCluster, MaxMachineTimeDominatesSkewedRound) {
   const SimCluster cluster(3);
   JobTrace trace;
-  cluster.run_indexed_round(
+  cluster.run_round(
       "skewed", 3,
       [&](int machine) {
         if (machine == 1) {
@@ -213,9 +214,9 @@ TEST(SimCluster, MaxMachineTimeDominatesSkewedRound) {
 TEST(SimCluster, WallClockSleepDoesNotInflateSimulatedTime) {
   for (const auto kind :
        {exec::BackendKind::Sequential, exec::BackendKind::ThreadPool}) {
-    const SimCluster cluster(3, 0, kind, /*threads=*/3);
+    const SimCluster cluster(3, exec::make_backend(kind, /*threads=*/3));
     JobTrace trace;
-    cluster.run_indexed_round(
+    cluster.run_round(
         "sleepy", 3,
         [&](int machine) {
           if (machine == 1) {
@@ -238,7 +239,7 @@ TEST(SimCluster, WallClockSleepDoesNotInflateSimulatedTime) {
 TEST(SimCluster, BusyTaskChargedItsOwnCpuTime) {
   const SimCluster cluster(2);
   JobTrace trace;
-  cluster.run_indexed_round(
+  cluster.run_round(
       "busy", 2,
       [&](int machine) {
         if (machine == 0) {
@@ -257,7 +258,7 @@ TEST(SimCluster, AttributesDistanceWorkToRound) {
   const DistanceOracle oracle(ps);
   const SimCluster cluster(2);
   JobTrace trace;
-  cluster.run_indexed_round(
+  cluster.run_round(
       "dist", 2,
       [&](int machine) {
         (void)oracle.comparable(0, static_cast<index_t>(machine + 1));
@@ -269,17 +270,6 @@ TEST(SimCluster, AttributesDistanceWorkToRound) {
   EXPECT_EQ(round.max_machine_dist_evals, 2u);
 }
 
-TEST(SimCluster, CapacityCheckThrowsWhenExceeded) {
-  const SimCluster cluster(2, /*capacity_items=*/100);
-  EXPECT_NO_THROW(cluster.check_capacity(100, "ok"));
-  EXPECT_THROW(cluster.check_capacity(101, "too big"), std::length_error);
-}
-
-TEST(SimCluster, UnlimitedCapacityNeverThrows) {
-  const SimCluster cluster(2, 0);
-  EXPECT_NO_THROW(cluster.check_capacity(1u << 30, "huge"));
-}
-
 TEST(SimCluster, BackendsProduceSameResults) {
   // Results must be backend-independent: each task writes its own slot.
   const auto body = [](int machine, std::vector<std::uint64_t>& out) {
@@ -288,9 +278,9 @@ TEST(SimCluster, BackendsProduceSameResults) {
   };
   const auto run_with = [&](exec::BackendKind kind) {
     std::vector<std::uint64_t> out(8, 0);
-    const SimCluster cluster(8, 0, kind, /*threads=*/4);
+    const SimCluster cluster(8, exec::make_backend(kind, /*threads=*/4));
     JobTrace trace;
-    cluster.run_indexed_round("r", 8, [&](int m) { body(m, out); }, trace);
+    cluster.run_round("r", 8, [&](int m) { body(m, out); }, trace);
     return out;
   };
   const auto seq = run_with(exec::BackendKind::Sequential);
@@ -298,13 +288,94 @@ TEST(SimCluster, BackendsProduceSameResults) {
 }
 
 TEST(SimCluster, RecordsEffectiveBackendInRoundStats) {
-  const SimCluster cluster(2, 0, exec::BackendKind::ThreadPool, 2);
+  const SimCluster cluster(
+      2, exec::make_backend(exec::BackendKind::ThreadPool, 2));
   EXPECT_EQ(cluster.backend().name(), "threadpool");
   JobTrace trace;
-  cluster.run_indexed_round("r", 2, [](int) {}, trace);
+  cluster.run_round("r", 2, [](int) {}, trace);
   EXPECT_EQ(trace.rounds()[0].backend, "threadpool");
   EXPECT_NE(trace.rounds()[0].summary().find("exec=threadpool"),
             std::string::npos);
+}
+
+// ------------------------------------------------------- machine loss
+
+// Each round below runs on a Sequential cluster, so the machines hit
+// the "sim.machine" site in index order and `nth=2` loses exactly
+// machine 1 of the first attempt.
+
+TEST(SimCluster, LostAttemptStaysInTheTraceAndTheRoundReturnsTheLast) {
+  const fault::ScopedPlan armed("sim.machine:nth=2");
+  const SimCluster cluster(4);
+  JobTrace trace;
+  RoundStats& last = cluster.run_round("r", 4, [](int) {}, trace);
+  ASSERT_EQ(trace.num_rounds(), 2);
+  EXPECT_EQ(trace.rounds()[0].name, "r");
+  EXPECT_EQ(trace.rounds()[0].machines_used, 4);
+  EXPECT_EQ(trace.rounds()[0].machines_lost, 1);
+  EXPECT_EQ(&last, &trace.rounds()[1]);
+  EXPECT_EQ(last.round_index, 1);
+  EXPECT_EQ(last.machines_lost, 0);
+}
+
+TEST(SimCluster, ReplanSetsTheRetrysTaskCountFromTheSurvivors) {
+  const fault::ScopedPlan armed("sim.machine:nth=2");
+  const SimCluster cluster(4);
+  JobTrace trace;
+  std::vector<std::vector<int>> ran(1);  // machines run, per attempt
+  std::vector<int> survivors_seen;
+  const RoundStats& last = cluster.run_round(
+      "r", 4, [&](int machine) { ran.back().push_back(machine); }, trace,
+      [&](int survivors) {
+        survivors_seen.push_back(survivors);
+        ran.emplace_back();
+        return survivors - 1;
+      });
+  EXPECT_EQ(survivors_seen, std::vector<int>{3});
+  EXPECT_EQ(ran, (std::vector<std::vector<int>>{{0, 2, 3}, {0, 1}}));
+  EXPECT_EQ(last.machines_used, 2);
+}
+
+TEST(SimCluster, RetryWithoutReplanRunsTheSameCount) {
+  const fault::ScopedPlan armed("sim.machine:nth=2");
+  const SimCluster cluster(4);
+  JobTrace trace;
+  std::vector<int> runs(4, 0);
+  const RoundStats& last = cluster.run_round(
+      "r", 4, [&](int machine) { ++runs[machine]; }, trace);
+  ASSERT_EQ(trace.num_rounds(), 2);
+  EXPECT_EQ(runs, (std::vector<int>{2, 1, 2, 2}));
+  EXPECT_EQ(last.machines_used, 4);
+}
+
+TEST(SimCluster, UnsurvivableLossThrowsAfterEveryAttemptIsRecorded) {
+  const fault::ScopedPlan armed("sim.machine:p=1");
+  const SimCluster cluster(3);
+  JobTrace trace;
+  int runs = 0;
+  try {
+    cluster.run_round("doomed", 3, [&](int) { ++runs; }, trace);
+    FAIL() << "the round survived sim.machine:p=1";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(),
+                 "SimCluster: round 'doomed' failed 8 attempts (machine loss)");
+  }
+  EXPECT_EQ(runs, 0);
+  ASSERT_EQ(trace.num_rounds(), kMaxRoundAttempts);
+  for (const RoundStats& round : trace.rounds()) {
+    EXPECT_EQ(round.machines_lost, 3);
+  }
+}
+
+TEST(SimCluster, UnarmedRoundMakesOneAttempt) {
+  const SimCluster cluster(4);
+  JobTrace trace;
+  cluster.run_round("r", 4, [](int) {}, trace, [](int) -> int {
+    ADD_FAILURE() << "re-planned a round that lost no machine";
+    return 1;
+  });
+  ASSERT_EQ(trace.num_rounds(), 1);
+  EXPECT_EQ(trace.rounds()[0].machines_lost, 0);
 }
 
 // ---------------------------------------------------------------- trace
