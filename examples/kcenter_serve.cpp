@@ -28,7 +28,7 @@
 //                       for N ms (default 0 = off)
 //   --degrade-watermark=X  queue fill fraction (<= 1.0) above which
 //                       requests run degraded (cheaper algorithm,
-//                       shrunk budget, forced pruning); default off
+//                       shrunk budget); default off
 //   --fault-plan=SPEC   arm the deterministic fault-injection plan
 //                       (grammar in src/fault/fault.hpp; defaults to
 //                       the KC_FAULT_PLAN environment variable)

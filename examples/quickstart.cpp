@@ -42,11 +42,13 @@ int main(int argc, char** argv) {
                                /*sigma=*/0.1, rng);
 
     // One request template; only the algorithm name varies per row.
-    // request.prune is PruneMode::Auto by default: at this size and
-    // dimension the Solver builds a grid spatial index and the hot
-    // scans skip geometrically hopeless work — bit-identical results,
-    // with the skipped pairs reported in SolveReport::pairs_pruned
-    // (set request.prune = kc::PruneMode::Off to opt out).
+    // request.prune is PruneMode::Auto by default: the Solver builds a
+    // grid spatial index only where the scans it prunes repay the build
+    // (in 2-D, GON above 200 centers; not at CI's --k=8), and EIM's
+    // sampling rounds skip sample boxes that cannot hold a nearer
+    // center at any k — bit-identical results, with the skipped pairs
+    // reported in SolveReport::pairs_pruned (set request.prune =
+    // kc::PruneMode::Off to opt out).
     kc::api::SolveRequest request;
     request.points = &data;
     request.k = k;

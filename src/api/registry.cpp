@@ -194,6 +194,33 @@ void run_ccm(const SolveContext& ctx, SolveReport& report) {
   fill_from_trace(report, std::move(r.trace));
 }
 
+/// GON sweeps the whole set once per center. HS and brute scan pairs,
+/// and mrg-du and CCM scan machine partitions, so they declare none.
+std::size_t gon_sweeps(const SolveRequest& request) { return request.k; }
+
+/// MRG's machines scan partitions, but when the whole set fits one
+/// machine's capacity its final round is GON on all of it.
+std::size_t mrg_sweeps(const SolveRequest& request) {
+  const MrgOptions options = options_or<MrgOptions>(request);
+  const std::size_t n = request.points->size();
+  const auto machines = static_cast<std::size_t>(request.exec.machines);
+  return options.final_algo == SeqAlgo::Gonzalez &&
+                 n <= mrg_capacity(n, request.k, machines, options)
+             ? request.k
+             : 0;
+}
+
+/// EIM is GON on the whole set where it degenerates with GON as its
+/// final algorithm; its sampling rounds scan subsets through the sample
+/// boxes, which need no index.
+std::size_t eim_sweeps(const SolveRequest& request) {
+  const EimOptions options = options_or<EimOptions>(request);
+  return options.final_algo == SeqAlgo::Gonzalez &&
+                 eim_degenerates(request.points->size(), request.k, options)
+             ? request.k
+             : 0;
+}
+
 void register_builtins(Registry& registry) {
   registry.add({"gon",
                 {"gonzalez"},
@@ -201,42 +228,48 @@ void register_builtins(Registry& registry) {
                 "(sequential 2-approximation, O(kN))",
                 /*uses_cluster=*/false,
                 options_index_of<GonzalezOptions>(),
-                run_gon});
+                run_gon,
+                gon_sweeps});
   registry.add({"hs",
                 {"hochbaum-shmoys"},
                 "Hochbaum-Shmoys threshold search "
                 "(sequential 2-approximation, O(N^2 log N))",
                 /*uses_cluster=*/false,
                 options_index_of<HochbaumShmoysOptions>(),
-                run_hs});
+                run_hs,
+                /*whole_set_sweeps=*/nullptr});
   registry.add({"brute",
                 {"brute-force", "opt"},
                 "exact optimum by exhaustive center enumeration "
                 "(tiny instances only)",
                 /*uses_cluster=*/false,
                 options_index_of<BruteForceOptions>(),
-                run_brute});
+                run_brute,
+                /*whole_set_sweeps=*/nullptr});
   registry.add({"mrg",
                 {},
                 "multi-round MapReduce Gonzalez "
                 "(Algorithm 1; 4-approximation in two rounds)",
                 /*uses_cluster=*/true,
                 options_index_of<MrgOptions>(),
-                run_mrg});
+                run_mrg,
+                mrg_sweeps});
   registry.add({"eim",
                 {},
                 "iterative-sampling MapReduce, parameterized Ene-Im-Moseley "
                 "(Algorithms 2+3; 10-approximation w.s.p.)",
                 /*uses_cluster=*/true,
                 options_index_of<EimOptions>(),
-                run_eim});
+                run_eim,
+                eim_sweeps});
   registry.add({"mrg-du",
                 {"disjoint-union"},
                 "external-memory MRG: disjoint-chunk instances + union pass "
                 "(2(i+2)-approximation, SS3.2)",
                 /*uses_cluster=*/true,
                 options_index_of<DisjointUnionOptions>(),
-                run_mrg_du});
+                run_mrg_du,
+                /*whole_set_sweeps=*/nullptr});
   // Registered through the same string-keyed seam as the paper's
   // algorithms: the harness, CLI, benches and the svc/ batch service
   // all pick it up with zero front-end changes.
@@ -246,7 +279,8 @@ void register_builtins(Registry& registry) {
                 "(3 rounds; 2+eps via per-machine grid snapping)",
                 /*uses_cluster=*/true,
                 options_index_of<CcmOptions>(),
-                run_ccm});
+                run_ccm,
+                /*whole_set_sweeps=*/nullptr});
 }
 
 }  // namespace

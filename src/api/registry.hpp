@@ -3,10 +3,11 @@
 // Every algorithm the library can run — built-in or user-registered —
 // lands here as an AlgorithmInfo: a canonical name, aliases, a one-line
 // description (what --list-algos prints), which AlgoOptions alternative
-// it accepts, and a runner closure. The Solver validates a request,
-// prepares a SolveContext (bound oracle, resolved backend, simulated
-// cluster) and dispatches to the runner; nothing else in the codebase
-// switches on algorithm identity.
+// it accepts, a runner closure, and the whole-set sweeps the runner
+// makes (the scans a grid index could prune). The Solver validates a
+// request, prepares a SolveContext (bound oracle, resolved backend,
+// simulated cluster) and dispatches to the runner; nothing else in the
+// codebase switches on algorithm identity.
 //
 // The built-ins (gon, hs, brute, mrg, eim, mrg-du) self-register via
 // their factory functions the first time registry() is called, so a
@@ -65,6 +66,15 @@ struct AlgorithmInfo {
   /// The Solver fills value, timings, dist_evals for sequential algos,
   /// backend and kernel_isa afterwards.
   std::function<void(const SolveContext&, SolveReport&)> run;
+
+  /// The runner's whole-set sweeps: how many single-center scans over
+  /// the request's whole point set it makes, as a pure function of the
+  /// (validated) request. These are the only runner scans the grid
+  /// index can prune; scans over machine partitions, samples or pairs
+  /// cannot use it. Null declares none. Under PruneMode::Auto the
+  /// Solver prices them, with the offline evaluation's one k-center
+  /// pass, against the index build (builds_index in api/solver.hpp).
+  std::function<std::size_t(const SolveRequest&)> whole_set_sweeps;
 };
 
 class Registry {

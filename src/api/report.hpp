@@ -55,8 +55,8 @@ struct SolveReport {
   /// Solve attempts this report took (1 = first try succeeded).
   int attempts = 1;
   /// True when the request ran under a degraded policy (shrunk budget,
-  /// cheaper algorithm, forced pruning) because the service was above
-  /// its queue high-watermark.
+  /// cheaper algorithm) because the service was above its queue
+  /// high-watermark.
   bool degraded = false;
 
   // ---- Timings and execution facts.

@@ -86,12 +86,13 @@ struct SolveRequest {
   /// Spatial pruning of the bulk distance scans (geom/spatial_index.hpp).
   /// Auto builds a grid index, over which whole-set scans (GON's sweeps,
   /// the offline evaluation, HS's radius pass) run as cell-pruned ordered
-  /// scans, when the instance is likely to profit (low dimension, enough
-  /// points — see Solver), and also turns on EIM's sample boxes, at any
-  /// dim; On forces the index regardless; Off keeps the exact pre-index
-  /// code path, as does the KC_FORCE_NO_PRUNE environment variable.
-  /// Results are bit-identical either way; only dist_evals vs
-  /// pairs_pruned shift.
+  /// scans, only where their predicted saving exceeds the predicted
+  /// build: low dimension, enough points, and enough whole-set sweeps
+  /// or evaluation centers (api::builds_index). Auto also turns on EIM's
+  /// sample boxes, at any dim, built or not; On forces the index
+  /// regardless; Off keeps the exact pre-index code path, as does the
+  /// KC_FORCE_NO_PRUNE environment variable. Results are bit-identical
+  /// either way; only dist_evals vs pairs_pruned shift.
   PruneMode prune = PruneMode::Auto;
 
   /// Optional distance-evaluation budget; 0 = unlimited. Enforced at

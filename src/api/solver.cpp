@@ -80,6 +80,22 @@ const AlgorithmInfo& validate(const SolveRequest& request) {
 
 }  // namespace
 
+bool builds_index(const AlgorithmInfo& info, const SolveRequest& request) {
+  if (request.prune == PruneMode::Off || force_no_prune_requested()) {
+    return false;
+  }
+  if (request.prune == PruneMode::On) return true;
+  const std::size_t dim = request.points->dim();
+  const std::size_t n = request.points->size();
+  if (dim > kAutoPruneMaxDim || n < kAutoPruneMinPoints) return false;
+  const AutoPruneBreakEven& row = auto_prune_break_even(dim, n);
+  const std::size_t sweeps =
+      info.whole_set_sweeps ? info.whole_set_sweeps(request) : 0;
+  return static_cast<double>(sweeps) / row.sweeps +
+             static_cast<double>(request.k) / row.centers >
+         1.0;
+}
+
 Solver::Solver(std::shared_ptr<exec::ExecutionBackend> backend)
     : pinned_(std::move(backend)) {
   if (pinned_ == nullptr) {
@@ -136,19 +152,12 @@ SolveReport Solver::solve(const SolveRequest& request) {
   oracle.bind_executor(context.backend.get());
   if (chunk_context.armed()) oracle.bind_context(&chunk_context);
 
-  // Spatial pruning: build the grid index when the request wants it.
-  // Auto only pays the index build where the grid can win (low
-  // dimension, enough points that full scans dominate); On trusts the
-  // caller. The mode is bound either way, since it also switches EIM's
-  // sample boxes, which need no index. The scans stay bit-identical —
-  // Off and KC_FORCE_NO_PRUNE keep the exact pre-index path.
+  // Spatial pruning: build the grid index where builds_index prices it
+  // worth its build. The mode is bound either way, since it also
+  // switches EIM's sample boxes, which need no index. The scans stay
+  // bit-identical; without an index they take the exact id-order path.
   std::optional<SpatialIndex> index;
-  const bool build_index =
-      request.prune != PruneMode::Off && !force_no_prune_requested() &&
-      (request.prune == PruneMode::On ||
-       (request.points->dim() <= kAutoPruneMaxDim &&
-        request.points->size() >= kAutoPruneMinPoints));
-  if (build_index) index.emplace(*request.points);
+  if (builds_index(info, request)) index.emplace(*request.points);
   oracle.bind_index(index ? &*index : nullptr, request.prune);
   context.oracle = &oracle;
   const std::vector<index_t> all = request.points->all_indices();

@@ -25,6 +25,23 @@
 
 namespace kc::api {
 
+struct AlgorithmInfo;
+
+/// Whether Solver::solve builds the grid index (geom/spatial_index.hpp)
+/// for `request`, run as `info`. On always builds; Off and the
+/// KC_FORCE_NO_PRUNE environment variable never do. Auto builds only
+/// where the build is predicted to pay for itself: dim <=
+/// kAutoPruneMaxDim, n >= kAutoPruneMinPoints, and the pruning of the
+/// entry's whole-set sweeps (AlgorithmInfo::whole_set_sweeps) plus the
+/// offline evaluation's k-center pass is predicted to save more than
+/// the build costs. Both predictions are linear in n, so the comparison
+/// runs on break-even counts per dim and point-count class
+/// (kAutoPruneBreakEven in geom/spatial_index.hpp). Expects a request
+/// solve() would accept, and depends on its prune mode, points, k,
+/// machines and options only — never on a timing.
+[[nodiscard]] bool builds_index(const AlgorithmInfo& info,
+                                const SolveRequest& request);
+
 class Solver {
  public:
   /// A solver that builds its backend lazily from the first request's

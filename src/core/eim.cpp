@@ -40,6 +40,11 @@ double eim_loop_threshold(std::size_t n, std::size_t k,
          std::pow(dn, options.epsilon) * log_with_base(dn, options.log_base);
 }
 
+bool eim_degenerates(std::size_t n, std::size_t k, const EimOptions& options) {
+  const double threshold = eim_loop_threshold(n, k, options);
+  return static_cast<double>(n) <= threshold || threshold <= 0.0;
+}
+
 namespace {
 
 void check_cancelled(const EimOptions& options, int iterations_done) {
@@ -78,7 +83,7 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
   // one machine and the procedure *is* the sequential algorithm. A
   // non-positive threshold (n = 1 makes log n = 0) degenerates too:
   // the sampling probabilities would all be zero.
-  if (static_cast<double>(n) <= loop_threshold || loop_threshold <= 0.0) {
+  if (eim_degenerates(n, k, options)) {
     check_cancelled(options, 0);
     KCenterResult final_result;
     auto& round = cluster.run_round(

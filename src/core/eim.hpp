@@ -96,6 +96,13 @@ struct EimResult : KCenterResult {
 [[nodiscard]] double eim_loop_threshold(std::size_t n, std::size_t k,
                                         const EimOptions& options);
 
+/// True when EIM on n points never samples: n is at most the loop
+/// threshold, or the threshold is not positive (n = 1 makes log n = 0).
+/// The whole input then goes to one machine, which runs
+/// options.final_algo on it.
+[[nodiscard]] bool eim_degenerates(std::size_t n, std::size_t k,
+                                   const EimOptions& options);
+
 /// Runs EIM on `pts` with the given simulated cluster.
 ///
 /// Preconditions: k >= 1, pts non-empty, 0 < epsilon < 1, phi > 0.

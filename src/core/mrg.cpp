@@ -1,5 +1,6 @@
 #include "core/mrg.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -22,6 +23,12 @@ void check_cancelled(const MrgOptions& options, int rounds_done) {
 
 }  // namespace
 
+std::size_t mrg_capacity(std::size_t n, std::size_t k, std::size_t m,
+                         const MrgOptions& options) {
+  return options.capacity != 0 ? options.capacity
+                               : std::max(ceil_div(n, m), k * m);
+}
+
 MrgResult mrg(const DistanceOracle& oracle, std::span<const index_t> pts,
               std::size_t k, const mr::SimCluster& cluster,
               const MrgOptions& options) {
@@ -30,9 +37,7 @@ MrgResult mrg(const DistanceOracle& oracle, std::span<const index_t> pts,
 
   const std::size_t n = pts.size();
   const std::size_t m = static_cast<std::size_t>(cluster.machines());
-  const std::size_t capacity =
-      options.capacity != 0 ? options.capacity
-                            : std::max(ceil_div(n, m), k * m);
+  const std::size_t capacity = mrg_capacity(n, k, m, options);
 
   if (ceil_div(n, m) > capacity) {
     throw std::length_error(

@@ -78,6 +78,14 @@ struct MrgResult : KCenterResult {
   mr::JobTrace trace;
 };
 
+/// The per-machine capacity c MRG runs n points with on m machines:
+/// options.capacity, or max(ceil(n/m), k*m) when that is 0. When n <= c
+/// MRG runs no reduce round, and its final round runs options.final_algo
+/// on all n points.
+[[nodiscard]] std::size_t mrg_capacity(std::size_t n, std::size_t k,
+                                       std::size_t m,
+                                       const MrgOptions& options);
+
 /// Runs MRG on `pts` with the given simulated cluster.
 ///
 /// Preconditions: k >= 1, pts non-empty. Throws std::length_error if the

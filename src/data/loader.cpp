@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string_view>
 #include <system_error>
+#include <utility>
 #include <vector>
 
 namespace kc::data {
@@ -82,7 +83,7 @@ PointSet load_numeric_csv(const std::string& path, const CsvOptions& options) {
     throw std::runtime_error("load_numeric_csv: cannot open '" + path + "'");
   }
 
-  std::vector<double> coords;
+  CoordStorage coords;
   std::vector<double> row;
   std::vector<std::size_t> row_columns;
   std::vector<std::size_t> schema;
@@ -123,7 +124,9 @@ PointSet load_numeric_csv(const std::string& path, const CsvOptions& options) {
     throw std::runtime_error("load_numeric_csv: no numeric rows in '" + path +
                              "'");
   }
-  return PointSet(dim, coords);
+  // The buffer moves in whole: no copy, and the spare capacity past the
+  // last row is never written, so its pages are never faulted in.
+  return PointSet(dim, std::move(coords));
 }
 
 void save_csv(const PointSet& points, const std::string& path,

@@ -46,8 +46,8 @@ inline constexpr std::size_t kShardMinItems = std::size_t{1} << 14;
 /// nearest-sample scans through sample boxes (geom/spatial_index.hpp).
 enum class PruneMode {
   Off,   ///< never prune; the exact pre-index code path
-  Auto,  ///< prune when an index is bound (the facade only builds one
-         ///< when its auto heuristic holds, so Auto defers to that);
+  Auto,  ///< prune when an index is bound (the facade builds one only
+         ///< where api::builds_index prices it below its saving);
          ///< also turns on EIM's sample boxes, at any dim
   On,    ///< prune whenever an index is bound; sample boxes as Auto
 };

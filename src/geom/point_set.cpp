@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace kc {
 
@@ -11,7 +12,10 @@ PointSet::PointSet(std::size_t n, std::size_t dim)
 }
 
 PointSet::PointSet(std::size_t dim, std::span<const double> coords)
-    : dim_(dim), coords_(coords.begin(), coords.end()) {
+    : PointSet(dim, CoordStorage(coords.begin(), coords.end())) {}
+
+PointSet::PointSet(std::size_t dim, CoordStorage&& coords)
+    : dim_(dim), coords_(std::move(coords)) {
   if (dim == 0) throw std::invalid_argument("PointSet: dim must be positive");
   if (coords_.size() % dim != 0) {
     throw std::invalid_argument(

@@ -69,6 +69,10 @@ class PointSet {
   /// the aligned storage). `coords.size()` must be a multiple of `dim`.
   PointSet(std::size_t dim, std::span<const double> coords);
 
+  /// Takes over a row-major coordinate buffer without copying it, spare
+  /// capacity included. The same checks as the span constructor.
+  PointSet(std::size_t dim, CoordStorage&& coords);
+
   /// Convenience constructor for tests: each inner list is one point.
   PointSet(std::initializer_list<std::initializer_list<double>> points);
 

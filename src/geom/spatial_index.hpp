@@ -86,6 +86,82 @@ void grid_cell_key(std::span<const double> p, double w,
 inline constexpr std::size_t kAutoPruneMaxDim = 8;
 inline constexpr std::size_t kAutoPruneMinPoints = 4096;
 
+/// PruneMode::Auto's price list (api::builds_index), per dimension and
+/// point-count class. Building the grid and each scan it prunes cost
+/// time linear in n, so a price comparison reduces to break-even counts:
+/// `sweeps` whole-set single-center sweeps (GON's) save one build, and
+/// so do `centers` centers of the offline evaluation's one multi-center
+/// pass. Auto builds when sweeps / row.sweeps + k / row.centers > 1. So
+/// GON, which makes k sweeps and is evaluated at k centers, builds once
+/// k exceeds 1 / (1 / sweeps + 1 / centers): at dim 2, 200 below 1e5
+/// points and 90 from there; 93 at dims 3-4; 350 at dims 5-8. An entry
+/// that declares no sweeps (CCM, mrg-du, HS, a reducing MRG, a sampling
+/// EIM) builds once k exceeds `centers`: 1,000 up to dim 4, never above.
+///
+/// Fitted with bench_auto_prune (Sequential, 4-vCPU AVX-512 host, seed
+/// 1, fastest run under its stopping rule). Per shape, the build in ns
+/// per point and the k at which the grid breaks even for GON (build
+/// over one sweep's plus one center's saving) and for an evaluation-only
+/// entry (build over one center's saving), as ranges over one to five
+/// runs at k = 100 and k = 400 and, at dims 2 and 4, one at k = 1,000
+/// (in the GON ranges, and after the slash in the eval column):
+///
+///             build ns/pt        GON break-even k        eval break-even k
+///   dim  n    gau     unif    gau     unif    gau          unif
+///   2    1e4  60-89   43-56   104-232 118-900 476-657/715  585-1210/563
+///   2    3e4  59-104  57-81   150-183 161-493 603-948/396  680-1145/499
+///   2    1e5  82-160  48-90   111-156 66-118  498-861/648  348-688/334
+///   2    3e5  126-198 49-89   102-162 47-75   977-1014/589 325-469/295
+///   2    1e6  109-198 54-109  88-140  44-98   462-1289/519 242-681/242
+///   4    1e4  75-77   50-51   51-55   57-262  197-209/196  313-1460/216
+///   4    3e4  88-100  50-52   54-67   46-89   198-216/183  220-575/171
+///   4    1e5  141-156 90-134  63-81   61-87   325-369/294  2326-16767/938
+///   4    3e5  187-248 104-108 87-106  49-74   361-422/470  635+/660
+///   4    1e6  208-332 91-138  93-167  56-70   390-774/345  241-411/411
+///   8    1e4  127     89      39-41   never   124-144      never
+///   8    3e4  191     91      45-56   never   147-161      462+
+///   8    1e5  361     88      66-69   205+    300-301      332+
+///   8    3e5  495     210     90-105  406+    432-505      586+
+///   8    1e6  357-358 451-486 31-99   104-166 127-428      never
+///
+/// ("+": one of k = 100 and 400 never breaks even.) Where the two
+/// shapes disagree, a row sits between them or on the side that does
+/// not lose. Below 1e5 2-D points the scans run from cache and save
+/// little per sweep, so GON waits for k = 200; from 1e5 points the row
+/// sits between clustered (88-162) and uniform (44-118) points, and at
+/// k = 100 a whole GON solve reads 4-26% slower built on clustered
+/// points and 0-28% faster on uniform ones. At 8-D
+/// uniform points GON's pruned sweeps save nothing below 1e5 points and
+/// the pruned evaluation runs slower, so GON waits for k = 350 and
+/// sweep-free entries never build. At k = 1,000 every measured shape up
+/// to dim 4 repays the build on the evaluation alone (break-even
+/// 171-938), so sweep-free entries build above it. Refit when the build
+/// or the scans change.
+struct AutoPruneBreakEven {
+  std::size_t max_dim;     ///< the row serves dims up to this one
+  std::size_t min_points;  ///< and point sets of at least this many
+  double sweeps;           ///< whole-set sweeps whose saving repays a build
+  double centers;          ///< evaluation centers whose saving repays it
+};
+inline constexpr AutoPruneBreakEven kAutoPruneBreakEven[] = {
+    {2, 100'000, 100.0, 1000.0},
+    {2, kAutoPruneMinPoints, 250.0, 1000.0},
+    {4, kAutoPruneMinPoints, 103.0, 1000.0},
+    {kAutoPruneMaxDim, kAutoPruneMinPoints, 350.0, kInfDist},
+};
+
+/// The first row of kAutoPruneBreakEven that serves `dim` (at most
+/// kAutoPruneMaxDim) and `n` points (at least kAutoPruneMinPoints).
+[[nodiscard]] constexpr const AutoPruneBreakEven& auto_prune_break_even(
+    std::size_t dim, std::size_t n) noexcept {
+  std::size_t row = 0;
+  while (dim > kAutoPruneBreakEven[row].max_dim ||
+         n < kAutoPruneBreakEven[row].min_points) {
+    ++row;
+  }
+  return kAutoPruneBreakEven[row];
+}
+
 /// Comparable-scale lower bound on the distance from `p` (dim
 /// coordinates) to any point inside the axis-aligned box [lo, hi]: per
 /// coordinate the gap between p and the box interval, pushed through the

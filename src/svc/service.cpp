@@ -237,7 +237,6 @@ std::optional<std::string> ServiceLoop::submit(std::string_view line,
         // The options variant must match the algorithm that runs.
         item->wire.request.options = {};
       }
-      if (degrade->force_prune) item->wire.request.prune = PruneMode::On;
       const compat::LockGuard lock(state_mutex_);
       ++stats_.degraded;
     }

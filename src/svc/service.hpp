@@ -84,8 +84,6 @@ struct DegradePolicy {
   /// Reroute the expensive multi-round algorithms (mrg, eim, mrg-du)
   /// to the cheaper single-pass ccm coreset path while degraded.
   bool use_coreset = true;
-  /// Force spatial pruning on while degraded.
-  bool force_prune = true;
 
   [[nodiscard]] bool enabled() const noexcept {
     return high_watermark <= 1.0;

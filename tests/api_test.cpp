@@ -527,14 +527,16 @@ TEST(ApiDeterminism, HarnessAdapterMatchesSolver) {
   EXPECT_EQ(run.dist_evals, report.dist_evals);
   EXPECT_EQ(run.map_reduce_rounds, report.rounds);
 
-  // GON under the default prune=Auto: the adapter must carry the pruned
-  // pairs too, or the paper benches under-count the work they check.
+  // GON under the default prune=Auto, at a k whose sweeps repay the
+  // grid: the adapter must carry the pruned pairs too, or the paper
+  // benches under-count the work they check.
   Rng rng(2025);
   const PointSet gau = data::generate_gau(8000, 16, 2, 100.0, 0.1, rng);
   config.kind = harness::AlgoKind::GON;
-  const harness::RunResult gon_run = harness::run_algorithm(config, gau, 8, 99);
+  const harness::RunResult gon_run =
+      harness::run_algorithm(config, gau, 400, 99);
   request.points = &gau;
-  request.k = 8;
+  request.k = 400;
   request.algorithm = "gon";
   const api::SolveReport gon_report = solver.solve(request);
   EXPECT_EQ(gon_run.centers, gon_report.centers);

@@ -329,6 +329,55 @@ TEST(ChaosDegrade, LadderReroutesFlagsAndHonorsPerTenantOverride) {
   EXPECT_EQ(result.stats.degraded, 1u);
 }
 
+TEST(ChaosDegrade, DegradedRequestKeepsItsPruneMode) {
+  // Degradation makes a request cheaper by rerouting it and shrinking
+  // its cap; it no longer forces the grid on. A degraded gon request
+  // therefore runs the same scans as the same request undegraded and
+  // reports the same work: equal dist_evals mean an equal pruned share
+  // too, since evaluated plus pruned pairs are fixed by the solve. At
+  // svc-closed-4k's shape (4,096 2-D points, k = 16) Auto builds no
+  // grid; at dim 10 it never does, and a forced one would prune.
+  svc::ServiceConfig config;
+  config.backend = exec::BackendKind::Sequential;
+  config.style.stable = true;
+  config.degrade.high_watermark = 0.0;  // degrade from the first request
+  svc::DegradePolicy vip;
+  vip.high_watermark = 2.0;  // disabled for this tenant
+  config.tenant_degrade.emplace("vip", vip);
+  for (const std::size_t dim : {2u, 10u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    Rng rng(dim);
+    const PointSet points = data::generate_gau(4096, 16, dim, 100.0, 0.1, rng);
+    std::string rows;
+    for (index_t i = 0; i < points.size(); ++i) {
+      rows += i == 0 ? "[" : ", [";
+      for (std::size_t d = 0; d < dim; ++d) {
+        rows += (d == 0 ? "" : ", ") + svc::json_number(points[i][d]);
+      }
+      rows += "]";
+    }
+    const auto line = [&rows](int id, const char* tenant) {
+      return "{\"id\": " + std::to_string(id) + ", \"tenant\": \"" +
+             tenant +
+             "\", \"algorithm\": \"gon\", \"k\": 16, \"points\": [" +
+             rows + "]}";
+    };
+    const SoakResult result = soak({line(1, "t"), line(2, "vip")}, config);
+    ASSERT_EQ(result.reports.size(), 2u);
+    const Json degraded = Json::parse(result.reports[0]);
+    const Json undegraded = Json::parse(result.reports[1]);
+    ASSERT_EQ(degraded.find("status")->string, "ok") << result.reports[0];
+    ASSERT_EQ(undegraded.find("status")->string, "ok") << result.reports[1];
+    ASSERT_NE(degraded.find("degraded"), nullptr);
+    EXPECT_EQ(undegraded.find("degraded"), nullptr);
+    EXPECT_EQ(degraded.find("dist_evals")->number,
+              undegraded.find("dist_evals")->number);
+    // The budgeted evaluation pays for its unpruned pairs only, too.
+    EXPECT_EQ(degraded.find("budget_consumed")->number,
+              undegraded.find("budget_consumed")->number);
+  }
+}
+
 TEST(ChaosWatchdog, StalledRequestIsCancelledWithDiagnostics) {
   // The injected stall parks the attempt for 400 ms while its budget
   // odometer sits still; the 50 ms watchdog cancels through the

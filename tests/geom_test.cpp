@@ -34,6 +34,18 @@ TEST(PointSet, CoordinateConstructorChecksArity) {
   EXPECT_EQ(ps[1][0], 3.0);
 }
 
+TEST(PointSet, MovedBufferConstructorChecksDimAndArityAndTakesTheBuffer) {
+  EXPECT_THROW(PointSet(0, CoordStorage{1.0, 2.0}), std::invalid_argument);
+  EXPECT_THROW(PointSet(3, CoordStorage{1.0, 2.0}), std::invalid_argument);
+  CoordStorage coords{1.0, 2.0, 3.0, 4.0};
+  coords.reserve(64);
+  const double* buffer = coords.data();
+  const PointSet ps(2, std::move(coords));
+  EXPECT_EQ(ps.size(), 2u);
+  EXPECT_EQ(ps[1][0], 3.0);
+  EXPECT_EQ(ps.data(0), buffer);  // taken over, not copied
+}
+
 TEST(PointSet, InitializerListConstruction) {
   const PointSet ps{{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
   EXPECT_EQ(ps.size(), 3u);

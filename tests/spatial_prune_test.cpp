@@ -17,7 +17,9 @@
 #include <vector>
 
 #include "algo/gonzalez.hpp"
+#include "api/registry.hpp"
 #include "api/solver.hpp"
+#include "core/eim.hpp"
 #include "data/generators.hpp"
 #include "exec/backend.hpp"
 #include "exec/chunk_context.hpp"
@@ -1066,25 +1068,148 @@ TEST(PrunedScansGated, CompletedGroupedScanChargesExactlyItsEvaluatedPairs) {
 
 // ------------------------------------------------------------- api knob
 
+/// A k at which Auto builds the grid for GON's sweeps on 2-D points
+/// (geom/spatial_index.hpp, kAutoPruneBreakEven).
+constexpr std::size_t kGonBuildsK = 400;
+
+/// A request for `algorithm` on `points` at k, under `prune`.
+api::SolveRequest prune_request(const PointSet& points, const char* algorithm,
+                                std::size_t k, PruneMode prune) {
+  api::SolveRequest request;
+  request.points = &points;
+  request.k = k;
+  request.algorithm = algorithm;
+  request.prune = prune;
+  return request;
+}
+
+bool builds(const api::SolveRequest& request) {
+  return api::builds_index(*api::registry().find(request.algorithm), request);
+}
+
+TEST(ApiSolverPrune, BuildsIndexPricesTheDeclaredSweepsAndTheEvaluation) {
+  const PointSet million(1'000'000, 2);
+  const PointSet small(kAutoPruneMinPoints - 1, 2);
+  const PointSet high_dim(10'000, kAutoPruneMaxDim + 1);
+  const PointSet ten_k(10'000, 2);
+  const bool forced_off = force_no_prune_requested();
+
+  // Off and KC_FORCE_NO_PRUNE never build; On always does, where the
+  // environment lets it.
+  for (const PointSet* points : {&million, &small, &high_dim}) {
+    for (const char* algorithm : {"gon", "mrg", "hs"}) {
+      EXPECT_FALSE(
+          builds(prune_request(*points, algorithm, 400, PruneMode::Off)));
+      EXPECT_EQ(builds(prune_request(*points, algorithm, 25, PruneMode::On)),
+                !forced_off);
+    }
+  }
+  // Auto: never past the dimension cap or under the point floor, even
+  // for GON's many sweeps.
+  EXPECT_FALSE(builds(prune_request(high_dim, "gon", 400, PruneMode::Auto)));
+  EXPECT_FALSE(builds(prune_request(small, "gon", 400, PruneMode::Auto)));
+
+  // At 1M 2-D points and k = 25, no entry's scans repay the build: the
+  // evaluation alone is about 1.4 ms of pruning against a build of about
+  // 0.13 s, and GON's 25 sweeps do not close the gap.
+  for (const char* algorithm : {"mrg", "ccm", "mrg-du", "hs", "gon", "eim"}) {
+    SCOPED_TRACE(algorithm);
+    EXPECT_FALSE(
+        builds(prune_request(million, algorithm, 25, PruneMode::Auto)));
+  }
+  // GON's 400 sweeps do. So does EIM's, where it degenerates to GON on
+  // the whole set (10,000 points at k = 400), unless its final
+  // algorithm is HS.
+  EXPECT_EQ(builds(prune_request(million, "gon", 400, PruneMode::Auto)),
+            !forced_off);
+  // From 1e5 2-D points the sweeps save more per point, so GON's 100
+  // sweeps repay the build there, but not on 10,000 points.
+  EXPECT_EQ(builds(prune_request(million, "gon", 100, PruneMode::Auto)),
+            !forced_off);
+  EXPECT_FALSE(builds(prune_request(ten_k, "gon", 100, PruneMode::Auto)));
+  api::SolveRequest eim = prune_request(ten_k, "eim", 400, PruneMode::Auto);
+  ASSERT_TRUE(eim_degenerates(ten_k.size(), 400, EimOptions{}));
+  EXPECT_EQ(builds(eim), !forced_off);
+  EimOptions hs_final;
+  hs_final.final_algo = SeqAlgo::HochbaumShmoys;
+  eim.options = hs_final;
+  EXPECT_FALSE(builds(eim));
+  // A sampling EIM at k = 400 declares no sweeps, like a reducing MRG.
+  ASSERT_FALSE(eim_degenerates(million.size(), 400, EimOptions{}));
+  EXPECT_EQ(builds(prune_request(million, "eim", 400, PruneMode::Auto)),
+            builds(prune_request(million, "mrg", 400, PruneMode::Auto)));
+  // MRG on a set that fits one machine (10,000 <= k * 50 machines) runs
+  // no reduce round: its final round is GON on the whole set.
+  EXPECT_EQ(builds(prune_request(ten_k, "mrg", 400, PruneMode::Auto)),
+            !forced_off);
+
+  // An entry that declares nothing is priced on the evaluation alone,
+  // which repays the build once k is large enough.
+  api::AlgorithmInfo undeclared = *api::registry().find("mrg");
+  undeclared.whole_set_sweeps = nullptr;
+  const api::SolveRequest huge_k =
+      prune_request(million, "mrg", 100'000, PruneMode::Auto);
+  EXPECT_EQ(api::builds_index(undeclared, huge_k), !forced_off);
+  EXPECT_FALSE(api::builds_index(
+      undeclared, prune_request(million, "mrg", 25, PruneMode::Auto)));
+  // So does a declared-empty one past 1,000 centers in 2-D: HS on
+  // 4,200 points at k = 1,001, the CLI prune-invariance shape.
+  const PointSet hs_rows(4200, 2);
+  EXPECT_EQ(builds(prune_request(hs_rows, "hs", 1001, PruneMode::Auto)),
+            !forced_off);
+  EXPECT_FALSE(builds(prune_request(hs_rows, "hs", 1000, PruneMode::Auto)));
+}
+
+TEST(ApiSolverPrune, AutoMatchesOffWhereTheGridDoesNotPay) {
+  // At k = 25 no entry's scans repay the build, so Auto builds no grid
+  // and reports exactly what Off reports: the same centers, value and
+  // work, none of it pruned. EIM degenerates to GON on this shape, and
+  // HS runs on 4,200 points, under its 8,192-point cap.
+  Rng rng(2025);
+  const PointSet pts = data::generate_gau(10'000, 25, 2, 100.0, 0.1, rng);
+  const PointSet hs_pts = data::generate_gau(4200, 25, 2, 100.0, 0.1, rng);
+  for (const char* algorithm : {"gon", "mrg", "ccm", "mrg-du", "eim", "hs"}) {
+    SCOPED_TRACE(algorithm);
+    const PointSet& points = std::string_view(algorithm) == "hs" ? hs_pts : pts;
+    api::SolveRequest request =
+        prune_request(points, algorithm, 25, PruneMode::Off);
+    api::Solver solver;
+    const api::SolveReport off = solver.solve(request);
+    request.prune = PruneMode::Auto;
+    ASSERT_FALSE(builds(request));
+    const api::SolveReport automatic = solver.solve(request);
+
+    EXPECT_EQ(automatic.centers, off.centers);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(automatic.value),
+              std::bit_cast<std::uint64_t>(off.value));
+    EXPECT_EQ(automatic.dist_evals, off.dist_evals);
+    EXPECT_EQ(automatic.pairs_pruned, 0u);
+  }
+}
+
 TEST(ApiSolverPrune, AutoPrunesBitIdenticallyAndReportsTheSplit) {
   // GON and every cluster algorithm: a cluster algorithm's pruned pairs
   // are attributed per machine task and must reach the report just like
-  // a sequential solve's. On this shape EIM degenerates to one GON
-  // round, so it prunes as GON does.
+  // a sequential solve's, and each one's centers are evaluated on the
+  // grid. At this k Auto builds it for GON's sweeps; on this shape MRG
+  // fits one machine and EIM degenerates to one GON round, so both
+  // declare GON's sweeps and prune as GON does. mrg-du and CCM declare
+  // none, so they run under On.
   Rng rng(2025);
   const PointSet pts = data::generate_gau(10'000, 25, 2, 100.0, 0.1, rng);
 
   for (const char* algorithm : {"gon", "mrg", "eim", "mrg-du", "ccm"}) {
     SCOPED_TRACE(algorithm);
-    api::SolveRequest request;
-    request.points = &pts;
-    request.k = 25;
-    request.algorithm = algorithm;
-    request.prune = PruneMode::Off;
+    const bool sweeps = std::string_view(algorithm) == "gon" ||
+                        std::string_view(algorithm) == "mrg" ||
+                        std::string_view(algorithm) == "eim";
+    api::SolveRequest request =
+        prune_request(pts, algorithm, kGonBuildsK, PruneMode::Off);
     api::Solver solver;
     const api::SolveReport off = solver.solve(request);
 
-    request.prune = PruneMode::Auto;  // n >= 4096, dim 2: auto builds
+    request.prune = sweeps ? PruneMode::Auto : PruneMode::On;
+    ASSERT_EQ(builds(request), !force_no_prune_requested());
     const api::SolveReport on = solver.solve(request);
 
     EXPECT_EQ(on.centers, off.centers);
@@ -1092,28 +1217,22 @@ TEST(ApiSolverPrune, AutoPrunesBitIdenticallyAndReportsTheSplit) {
               std::bit_cast<std::uint64_t>(off.value));
     EXPECT_EQ(off.pairs_pruned, 0u);
     EXPECT_EQ(on.dist_evals + on.pairs_pruned, off.dist_evals);
-    if (!force_no_prune_requested() &&
-        (std::string_view(algorithm) == "gon" ||
-         std::string_view(algorithm) == "eim")) {
+    if (!force_no_prune_requested() && sweeps) {
       EXPECT_GT(on.pairs_pruned, 0u);
     }
   }
 }
 
 TEST(ApiSolverPrune, HochbaumShmoysPrunesItsRadiusPassBitIdentically) {
-  // HS's candidate list is quadratic, so n sits just over Auto's
-  // 4,096-point floor and under HS's cap: Auto builds the grid, and
-  // HS's final radius pass runs as an ordered scan over it.
+  // HS's candidate list is quadratic, so n sits under HS's cap. Auto
+  // would not pay for a grid at this k, so On forces it, and HS's final
+  // radius pass runs as an ordered scan over it.
   Rng rng(2025);
   const PointSet pts = data::generate_gau(4200, 25, 2, 100.0, 0.1, rng);
-  api::SolveRequest request;
-  request.points = &pts;
-  request.k = 25;
-  request.algorithm = "hs";
-  request.prune = PruneMode::Off;
+  api::SolveRequest request = prune_request(pts, "hs", 25, PruneMode::Off);
   api::Solver solver;
   const api::SolveReport off = solver.solve(request);
-  request.prune = PruneMode::Auto;
+  request.prune = PruneMode::On;
   const api::SolveReport on = solver.solve(request);
 
   EXPECT_EQ(on.centers, off.centers);
@@ -1129,8 +1248,10 @@ TEST(ApiSolverPrune, HochbaumShmoysPrunesItsRadiusPassBitIdentically) {
 TEST(ApiSolverPrune, EimSampleBoxesPruneBitIdenticallyOnEveryBackend) {
   // 20,000 points at k = 25 are above EIM's loop threshold (about
   // 11,600), so EIM samples and folds each new sample through its boxes.
-  // At 10-D no grid is built, so the boxes are the only pruning; a
-  // prune=Off request must still report none.
+  // The 2-D leg runs under On, so its centers are also evaluated on the
+  // grid. The 10-D leg runs under Auto, which builds no grid there (nor
+  // at 2-D for a sampling EIM at this k), so the boxes are the only
+  // pruning; a prune=Off request must still report none.
   for (const std::size_t dim : {2u, 10u}) {
     SCOPED_TRACE("dim=" + std::to_string(dim));
     Rng rng(2028);
@@ -1148,7 +1269,8 @@ TEST(ApiSolverPrune, EimSampleBoxesPruneBitIdenticallyOnEveryBackend) {
       request.prune = PruneMode::Off;
       api::Solver solver;
       const api::SolveReport off = solver.solve(request);
-      request.prune = PruneMode::Auto;
+      request.prune = dim == 2 ? PruneMode::On : PruneMode::Auto;
+      ASSERT_EQ(builds(request), dim == 2 && !force_no_prune_requested());
       const api::SolveReport on = solver.solve(request);
 
       ASSERT_TRUE(on.sampled);
