@@ -135,8 +135,7 @@ void adversarial_search(const BenchOptions& options, int trials) {
 void run(kc::cli::Args& args) {
   BenchOptions options = parse_common(args);
   const std::size_t n = args.size("n", options.pick(10'000, 50'000, 200'000));
-  const int trials =
-      static_cast<int>(args.integer("trials", options.quick ? 20 : 150));
+  const int trials = args.int_value("trials", options.quick ? 20 : 150);
   reject_unknown_flags(args);
   print_banner("Ablation: partitioning",
                "Partition strategies + factor-4 tightness evidence", options);

@@ -19,7 +19,7 @@ void run(kc::cli::Args& args) {
   // Multi-round MRG needs n/m <= c < k*m, i.e. n < k*m^2: a large
   // simulated cluster relative to n. Default m = 200 here (the paper's
   // m = 50 only ever needs two rounds at its n).
-  options.machines = static_cast<int>(args.integer("m", 200));
+  options.machines = args.int_value("m", 200);
   const std::size_t n = args.size("n", options.pick(20'000, 50'000, 100'000));
   const std::size_t k = args.size("k", 64);
   reject_unknown_flags(args);

@@ -95,7 +95,7 @@ inline BenchOptions parse_common(kc::cli::Args& args, int default_graphs = 1,
   options.full = args.flag("full");
   options.quick = args.flag("quick");
   options.seed = args.size("seed", options.seed);
-  options.machines = static_cast<int>(args.integer("machines", 50));
+  options.machines = args.int_value("machines", 50);
   options.csv = args.str("csv");
   options.plot = args.str("plot");
   options.exec = kc::cli::exec_backend(args);
@@ -106,8 +106,8 @@ inline BenchOptions parse_common(kc::cli::Args& args, int default_graphs = 1,
     options.graphs = 1;
     options.runs = 1;
   }
-  options.graphs = static_cast<int>(args.integer("graphs", options.graphs));
-  options.runs = static_cast<int>(args.integer("runs", options.runs));
+  options.graphs = args.int_value("graphs", options.graphs);
+  options.runs = args.int_value("runs", options.runs);
   return options;
 }
 
@@ -293,7 +293,7 @@ inline int bench_main(int argc, char** argv,
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
-    return 1;
+    return kc::cli::exit_status(e);
   }
 }
 

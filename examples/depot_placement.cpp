@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     const std::size_t addresses = args.size("addresses", 150'000);
     const std::size_t towns = args.size("towns", 40);
     const std::size_t depots = args.size("depots", 12);
-    const int machines = static_cast<int>(args.integer("machines", 50));
+    const int machines = args.int_value("machines", 50);
     const std::uint64_t seed = args.size("seed", 11);
     kc::cli::reject_unknown_flags(args);
 
@@ -77,6 +77,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "depot_placement: %s\n", e.what());
-    return 1;
+    return kc::cli::exit_status(e);
   }
 }

@@ -105,6 +105,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "document_dedup: %s\n", e.what());
-    return 1;
+    return kc::cli::exit_status(e);
   }
 }

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     request.seed = args.size("seed", 1);
     request.exec.kind = kc::cli::exec_backend(args);
     request.exec.threads = kc::cli::exec_threads(args);
-    request.exec.machines = static_cast<int>(args.integer("machines", 50));
+    request.exec.machines = args.int_value("machines", 50);
     request.max_dist_evals = args.size("budget", 0);
     // --phi/--epsilon are always consumed (the usage text documents
     // them unconditionally); they only take effect for EIM.

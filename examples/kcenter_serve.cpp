@@ -43,8 +43,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -343,14 +345,17 @@ int main(int argc, char** argv) {
     options.config.backend = kc::cli::exec_backend(
         args, kc::exec::BackendKind::ThreadPool);
     options.config.threads = kc::cli::exec_threads(args);
-    options.config.max_in_flight =
-        static_cast<int>(args.integer("in-flight", 4));
+    options.config.max_in_flight = args.int_value("in-flight", 4);
     options.config.queue_capacity = args.size("queue", 256);
     options.config.tenant_budget = args.size("tenant-budget", 0);
     options.config.request_budget = args.size("request-budget", 0);
     options.config.default_deadline_ms = args.size("deadline-ms", 0);
-    options.config.retry.max_attempts =
-        1 + static_cast<int>(args.integer("retries", 0));
+    const int retries = args.int_value("retries", 0);
+    if (retries < 0 || retries == std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("--retries is out of range: " +
+                                  std::to_string(retries));
+    }
+    options.config.retry.max_attempts = 1 + retries;
     options.config.watchdog_ms = args.size("watchdog-ms", 0);
     options.config.degrade.high_watermark =
         args.real("degrade-watermark", options.config.degrade.high_watermark);
@@ -370,6 +375,6 @@ int main(int argc, char** argv) {
                                        : run_socket(options);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "kcenter_serve: %s\n", e.what());
-    return 1;
+    return kc::cli::exit_status(e);
   }
 }

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     kc::cli::Args args(argc, argv);
     const std::size_t n = args.size("n", 400'000);
     const std::size_t k = args.size("k", 64);
-    const int machines = static_cast<int>(args.integer("machines", 64));
+    const int machines = args.int_value("machines", 64);
     const std::size_t capacity = args.size("capacity", 8192);
     const std::uint64_t seed = args.size("seed", 5);
     kc::cli::reject_unknown_flags(args);
@@ -103,6 +103,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "massive_multiround: %s\n", e.what());
-    return 1;
+    return kc::cli::exit_status(e);
   }
 }

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     const std::size_t n = args.size("n", 200'000);
     const std::size_t k = args.size("k", 25);
     const std::size_t clusters = args.size("clusters", 25);
-    const int machines = static_cast<int>(args.integer("machines", 50));
+    const int machines = args.int_value("machines", 50);
     const std::uint64_t seed = args.size("seed", 7);
     kc::cli::reject_unknown_flags(args);
 
@@ -87,6 +87,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "quickstart: %s\n", e.what());
-    return 1;
+    return kc::cli::exit_status(e);
   }
 }

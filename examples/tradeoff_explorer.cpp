@@ -74,6 +74,6 @@ int main(int argc, char** argv) {
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tradeoff_explorer: %s\n", e.what());
-    return 1;
+    return kc::cli::exit_status(e);
   }
 }

@@ -1,8 +1,12 @@
 #include "cli/args.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <system_error>
 
 namespace kc::cli {
 
@@ -38,15 +42,38 @@ std::optional<std::string> Args::str(const std::string& name) {
   return it->second;
 }
 
+namespace {
+
+/// Parses all of `text` as a T; anything else is malformed.
+template <typename T>
+[[nodiscard]] T parse_whole(const std::string& name, const std::string& text,
+                            const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    throw std::invalid_argument("--" + name + " expects " + expected +
+                                ", got '" + text + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
 std::int64_t Args::integer(const std::string& name, std::int64_t fallback) {
   const auto value = str(name);
   if (!value || value->empty()) return fallback;
-  try {
-    return std::stoll(*value);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + " expects an integer, got '" +
-                                *value + "'");
+  return parse_whole<std::int64_t>(name, *value, "an integer");
+}
+
+int Args::int_value(const std::string& name, int fallback) {
+  const std::int64_t v = integer(name, fallback);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("--" + name + " is out of range: " +
+                                std::to_string(v));
   }
+  return static_cast<int>(v);
 }
 
 std::size_t Args::size(const std::string& name, std::size_t fallback) {
@@ -60,12 +87,7 @@ std::size_t Args::size(const std::string& name, std::size_t fallback) {
 double Args::real(const std::string& name, double fallback) {
   const auto value = str(name);
   if (!value || value->empty()) return fallback;
-  try {
-    return std::stod(*value);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + " expects a number, got '" +
-                                *value + "'");
-  }
+  return parse_whole<double>(name, *value, "a number");
 }
 
 std::vector<std::size_t> Args::size_list(const std::string& name,
@@ -79,12 +101,13 @@ std::vector<std::size_t> Args::size_list(const std::string& name,
     if (end == std::string::npos) end = value->size();
     const std::string token = value->substr(start, end - start);
     if (!token.empty()) {
-      try {
-        out.push_back(static_cast<std::size_t>(std::stoull(token)));
-      } catch (const std::exception&) {
-        throw std::invalid_argument("--" + name + " expects integers, got '" +
-                                    token + "'");
+      const auto v = parse_whole<std::int64_t>(name, token, "integers");
+      if (v < 0) {
+        throw std::invalid_argument("--" + name +
+                                    " must be non-negative, got '" + token +
+                                    "'");
       }
+      out.push_back(static_cast<std::size_t>(v));
     }
     if (end == value->size()) break;
     start = end + 1;
@@ -107,12 +130,11 @@ exec::BackendKind exec_backend(Args& args, exec::BackendKind fallback) {
 }
 
 int exec_threads(Args& args, int fallback) {
-  const auto threads =
-      args.integer("threads", static_cast<std::int64_t>(fallback));
+  const int threads = args.int_value("threads", fallback);
   if (threads < 0) {
     throw std::invalid_argument("--threads must be non-negative");
   }
-  return static_cast<int>(threads);
+  return threads;
 }
 
 std::shared_ptr<exec::ExecutionBackend> make_exec_backend(
@@ -126,6 +148,10 @@ std::vector<std::string> Args::unconsumed() const {
     if (!used) out.push_back(key);
   }
   return out;
+}
+
+int exit_status(const std::exception& error) noexcept {
+  return dynamic_cast<const std::invalid_argument*>(&error) != nullptr ? 2 : 1;
 }
 
 void reject_unknown_flags(Args& args) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -27,13 +28,15 @@ class Args {
   [[nodiscard]] std::optional<std::string> str(const std::string& name);
 
   /// Typed getters with defaults. Throw std::invalid_argument on
-  /// malformed numbers.
+  /// malformed numbers: the whole value must parse, and it must fit
+  /// the getter's type (int_value: an int; size: non-negative).
   [[nodiscard]] std::int64_t integer(const std::string& name,
                                      std::int64_t fallback);
+  [[nodiscard]] int int_value(const std::string& name, int fallback);
   [[nodiscard]] std::size_t size(const std::string& name, std::size_t fallback);
   [[nodiscard]] double real(const std::string& name, double fallback);
 
-  /// Comma-separated list of integers, e.g. --k=2,5,10.
+  /// Comma-separated list of non-negative integers, e.g. --k=2,5,10.
   [[nodiscard]] std::vector<std::size_t> size_list(
       const std::string& name, std::vector<std::size_t> fallback);
 
@@ -68,6 +71,10 @@ class Args {
 
 // The registry-aware helpers --algo= / --list-algos live in
 // cli/algos.hpp so this header stays free of algorithm dependencies.
+
+/// Exit status for an error that reached a binary's main: 2 for a
+/// usage error (std::invalid_argument, e.g. a malformed flag), else 1.
+[[nodiscard]] int exit_status(const std::exception& error) noexcept;
 
 /// Uniform unknown-flag rejection: prints
 ///   <program>: unknown flag(s): --foo --bar

@@ -4,6 +4,7 @@
 
 #include "core/driver.hpp"
 #include "exec/scheduler.hpp"
+#include "rng/rng.hpp"
 
 namespace kc {
 
@@ -51,10 +52,13 @@ DisjointUnionResult mrg_disjoint_union(const DistanceOracle& oracle,
         options.mrg.progress(global);
       };
     }
-    // Each chunk's MRG starts a fresh trace, so its round ordinals,
-    // and the machine-loss keys mixed from them, repeat chunk to chunk.
-    MrgResult chunk_result =
-        mrg(oracle, pts.subspan(lo, hi - lo), k, cluster, chunk_options);
+    // Each chunk's MRG starts a fresh trace, so its round ordinals
+    // repeat chunk to chunk; its cluster's fault scope mixes in the
+    // chunk, so the chunks draw their own machine losses.
+    mr::SimCluster chunk_cluster = cluster;
+    chunk_cluster.set_fault_scope(Rng(cluster.fault_scope()).split(chunk)());
+    MrgResult chunk_result = mrg(oracle, pts.subspan(lo, hi - lo), k,
+                                 chunk_cluster, chunk_options);
     evals_before_chunk += chunk_result.trace.total_dist_evals();
     max_chunk_rounds =
         std::max(max_chunk_rounds, chunk_result.reduce_rounds);

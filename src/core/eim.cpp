@@ -126,18 +126,11 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
 
     // ---- Round 1 (Algorithm 2, lines 3-4): per-machine Bernoulli
     // sampling of the new S members and the pivot-candidate set H.
-    // A round that loses machines re-chunks R across the survivors.
-    std::size_t chunks = 0;
-    std::vector<std::vector<index_t>> sampled_parts;
-    std::vector<std::vector<index_t>> pivot_parts;
-    const auto chunk_sample = [&](std::size_t machines) {
-      chunks = std::min(machines, r_set.size());
-      sampled_parts.assign(chunks, {});
-      pivot_parts.assign(chunks, {});
-      return static_cast<int>(chunks);
-    };
+    const std::size_t chunks = std::min(m, r_set.size());
+    std::vector<std::vector<index_t>> sampled_parts(chunks);
+    std::vector<std::vector<index_t>> pivot_parts(chunks);
     auto& sample_round = cluster.run_round(
-        "eim-sample", chunk_sample(m),
+        "eim-sample", static_cast<int>(chunks),
         [&](int machine) {
           const auto [lo, hi] = exec::chunk_bounds(
               r_set.size(), chunks, static_cast<std::size_t>(machine));
@@ -153,10 +146,7 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
             if (machine_rng.bernoulli(p_pivot)) pivots.push_back(p);
           }
         },
-        result.trace,
-        [&](int survivors) {
-          return chunk_sample(static_cast<std::size_t>(survivors));
-        });
+        result.trace);
 
     std::vector<index_t> delta_positions;  // new S members (local positions)
     std::vector<index_t> pivot_positions;  // H (local positions)
@@ -221,9 +211,6 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
     // that are now represented at least as well as the pivot. Sampled
     // points always leave R (the §4.1 termination fix); the `<=`
     // comparison removes distance ties (the other §4.1 fix).
-    // A retry re-chunks R over the survivors; the per-point min-fold of
-    // dist_to_sample is idempotent, so chunks that already ran just fold
-    // in no-ops.
     std::vector<std::vector<index_t>> survivor_parts(chunks);
     auto& prune_round = cluster.run_round(
         "eim-prune", static_cast<int>(chunks),
@@ -254,12 +241,7 @@ EimResult eim(const DistanceOracle& oracle, std::span<const index_t> pts,
             survivors.push_back(p);
           }
         },
-        result.trace,
-        [&](int survivors) {
-          chunks = std::min(static_cast<std::size_t>(survivors), r_set.size());
-          survivor_parts.assign(chunks, {});
-          return static_cast<int>(chunks);
-        });
+        result.trace);
 
     std::vector<index_t> next_r;
     for (const auto& part : survivor_parts) {

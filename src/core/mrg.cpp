@@ -75,38 +75,29 @@ MrgResult mrg(const DistanceOracle& oracle, std::span<const index_t> pts,
     }
 
     // Explicit assignments address the first round's machines, so later
-    // rounds and retries on fewer survivors fall back to Block.
+    // rounds fall back to Block.
     std::span<const int> assignment;
-    if (first_round && options.partition == mr::PartitionStrategy::Explicit) {
-      if (!options.explicit_assignment ||
-          options.explicit_assignment->size() != sample.size()) {
+    mr::PartitionStrategy strategy = options.partition;
+    if (strategy == mr::PartitionStrategy::Explicit) {
+      if (!first_round) {
+        strategy = mr::PartitionStrategy::Block;
+      } else if (!options.explicit_assignment ||
+                 options.explicit_assignment->size() != sample.size()) {
         throw std::invalid_argument(
             "mrg: Explicit partition requires one machine id per input "
             "point");
+      } else {
+        assignment = *options.explicit_assignment;
       }
-      assignment = *options.explicit_assignment;
     }
-    const mr::PartitionStrategy fallback =
-        options.partition == mr::PartitionStrategy::Explicit
-            ? mr::PartitionStrategy::Block
-            : options.partition;
-    std::vector<std::vector<index_t>> parts;
-    std::vector<std::vector<index_t>> emitted;
-    const auto partition = [&](std::size_t machines,
-                               mr::PartitionStrategy strategy) {
-      parts = mr::partition_items(sample, static_cast<int>(machines),
-                                  strategy, &rng, assignment);
-      emitted.assign(parts.size(), {});
-      return static_cast<int>(parts.size());
-    };
+    const auto parts =
+        mr::partition_items(sample, static_cast<int>(machines_this_round),
+                            strategy, &rng, assignment);
 
-    // Reducers: k centers from each part via the inner algorithm. A
-    // round that loses machines is re-partitioned across the survivors:
-    // the lost machines' shares must land somewhere.
+    // Reducers: k centers from each part via the inner algorithm.
+    std::vector<std::vector<index_t>> emitted(parts.size());
     mr::RoundStats& round = cluster.run_round(
-        "mrg-reduce",
-        partition(machines_this_round,
-                  first_round ? options.partition : fallback),
+        "mrg-reduce", static_cast<int>(parts.size()),
         [&](int machine) {
           const auto& part = parts[static_cast<std::size_t>(machine)];
           const std::uint64_t machine_seed =
@@ -117,10 +108,7 @@ MrgResult mrg(const DistanceOracle& oracle, std::span<const index_t> pts,
           emitted[static_cast<std::size_t>(machine)] =
               std::move(local.centers);
         },
-        result.trace,
-        [&](int survivors) {
-          return partition(static_cast<std::size_t>(survivors), fallback);
-        });
+        result.trace);
 
     std::size_t emitted_total = 0;
     for (const auto& e : emitted) emitted_total += e.size();

@@ -1,7 +1,7 @@
 #include "mapreduce/cluster.hpp"
 
-#include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -34,20 +34,21 @@ using Clock = std::chrono::steady_clock;
   return splitmix64_next(state);
 }
 
-/// One attempt of a round on `backend`; the stats are not yet in the
-/// trace.
+/// One attempt of a round on `backend`: runs `body` for each machine
+/// index in `pending` and leaves in `pending` the machines it lost. The
+/// stats are not yet in the trace.
 [[nodiscard]] RoundStats run_attempt(exec::ExecutionBackend& backend,
                                      std::uint64_t scope, std::string_view name,
-                                     int count,
+                                     std::vector<int>& pending,
                                      const std::function<void(int)>& body,
                                      std::uint64_t round_ordinal) {
   RoundStats stats;
   stats.name = std::string(name);
   stats.backend = std::string(backend.name());
-  stats.machines_used = count;
+  stats.machines_used = static_cast<int>(pending.size());
 
   const auto round_start = Clock::now();
-  const auto tasks = static_cast<std::size_t>(count);
+  const std::size_t tasks = pending.size();
   std::vector<double> task_seconds(tasks, 0.0);
   std::vector<WorkCounters> task_work(tasks);
   // Failure model: decided per machine from a key that is fixed before
@@ -67,26 +68,28 @@ using Clock = std::chrono::steady_clock;
   std::vector<exec::ExecutionBackend::Task> wrapped;
   wrapped.reserve(tasks);
   for (std::size_t t = 0; t < tasks; ++t) {
-    wrapped.emplace_back(
-        [&body, &task_seconds, &task_work, &lost, scope, round_ordinal, t] {
-          if (fault::armed() &&
-              fault::fires("sim.machine",
-                           machine_key(scope, round_ordinal, t))) {
-            lost[t] = 1;
-            return;
-          }
-          const WorkScope work;
-          const double cpu_start = exec::thread_cpu_seconds();
-          body(static_cast<int>(t));
-          task_seconds[t] = exec::thread_cpu_seconds() - cpu_start;
-          task_work[t] = work.elapsed();
-        });
+    wrapped.emplace_back([&body, &task_seconds, &task_work, &lost, scope,
+                          round_ordinal, t, machine = pending[t]] {
+      if (fault::armed() &&
+          fault::fires("sim.machine",
+                       machine_key(scope, round_ordinal,
+                                   static_cast<std::uint64_t>(machine)))) {
+        lost[t] = 1;
+        return;
+      }
+      const WorkScope work;
+      const double cpu_start = exec::thread_cpu_seconds();
+      body(machine);
+      task_seconds[t] = exec::thread_cpu_seconds() - cpu_start;
+      task_work[t] = work.elapsed();
+    });
   }
   backend.run_tasks(wrapped);
 
   stats.wall_seconds = seconds_since(round_start);
+  std::size_t kept = 0;
   for (std::size_t t = 0; t < tasks; ++t) {
-    stats.machines_lost += lost[t] != 0 ? 1 : 0;
+    if (lost[t] != 0) pending[kept++] = pending[t];
     stats.total_machine_seconds += task_seconds[t];
     stats.total_dist_evals += task_work[t].distance_evals;
     stats.total_pairs_pruned += task_work[t].pruned_pairs;
@@ -97,6 +100,8 @@ using Clock = std::chrono::steady_clock;
       stats.max_machine_dist_evals = task_work[t].distance_evals;
     }
   }
+  pending.resize(kept);
+  stats.machines_lost = static_cast<int>(kept);
   return stats;
 }
 
@@ -115,20 +120,21 @@ SimCluster::SimCluster(int machines,
 
 RoundStats& SimCluster::run_round(std::string_view name, int count,
                                   const std::function<void(int)>& body,
-                                  JobTrace& trace, const Replan& replan) const {
+                                  JobTrace& trace) const {
+  std::vector<int> pending(static_cast<std::size_t>(count));
+  std::iota(pending.begin(), pending.end(), 0);
   for (int attempt = 1;; ++attempt) {
     // The keys advance with the trace ordinal, so each attempt draws
-    // fresh loss decisions.
+    // fresh loss decisions for the machines it runs.
     RoundStats& recorded = trace.add_round(
-        run_attempt(*backend_, fault_scope_, name, count, body,
+        run_attempt(*backend_, fault_scope_, name, pending, body,
                     static_cast<std::uint64_t>(trace.num_rounds())));
-    if (recorded.machines_lost == 0) return recorded;
+    if (pending.empty()) return recorded;
     if (attempt == kMaxRoundAttempts) {
       throw std::runtime_error("SimCluster: round '" + std::string(name) +
                                "' failed " + std::to_string(kMaxRoundAttempts) +
                                " attempts (machine loss)");
     }
-    if (replan) count = replan(std::max(1, count - recorded.machines_lost));
   }
 }
 

@@ -15,9 +15,13 @@
 // threads is not charged to it, so per-machine times are a lower bound
 // there — produce paper figures with --exec=seq.
 //
-// Machine loss is handled here, once, for every algorithm: run_round
-// re-runs a round that lost machines, and the algorithm only says how
-// to re-plan the retry (MRG re-partitions, EIM re-chunks).
+// Machine loss is handled here, once, for every algorithm, the way
+// MapReduce handles a failed task: run_round runs the lost machines'
+// tasks again, under their own machine indices, until every task has
+// run. Each body runs exactly once in a completed round, so no
+// algorithm ever sees a loss, and a solve that completes reports what
+// the lossless solve reports; only the trace (one entry per attempt)
+// and the simulated time differ.
 #pragma once
 
 #include <cstdint>
@@ -33,23 +37,15 @@ namespace kc::mr {
 
 /// Attempts (first run + retries) run_round gives one logical round
 /// before treating the cluster as unusable. Each attempt draws fresh
-/// loss decisions (the round ordinal advances), but the budget is per
-/// round, not per machine: an attempt fails when *any* of its machines
-/// is lost, i.e. with probability 1 - (1 - p)^c on c machines at loss
-/// probability p. On 50 machines that is 0.39 at p = 0.01, 0.64 at
-/// p = 0.02 and 0.995 at p = 0.1, so a 50-machine round runs out of
-/// attempts with probability about 0.0006, 0.03 and 0.96 (a retry on
-/// fewer survivors fails a little less often).
+/// loss decisions (the round ordinal advances) for the machines it
+/// re-runs, so a round fails only when some machine is lost on all 8
+/// attempts: on c machines at loss probability p that happens with
+/// probability at most c * p^8, e.g. 1.3e-12 for 50 machines at
+/// p = 0.02 and 5e-7 at p = 0.1.
 inline constexpr int kMaxRoundAttempts = 8;
 
 class SimCluster {
  public:
-  /// Re-plans a retried round: receives the number of machines that
-  /// survived the failed attempt (at least 1) and returns the task
-  /// count of the next attempt, after rebuilding whatever per-task
-  /// inputs and output slots the body reads.
-  using Replan = std::function<int(int survivors)>;
-
   /// A cluster of `machines` simulated reducers whose rounds run on
   /// `backend`, shared so one persistent pool serves many clusters and
   /// runs. A null backend runs the rounds sequentially.
@@ -71,6 +67,9 @@ class SimCluster {
   /// die regardless of execution backend or thread interleaving. The
   /// Solver passes the request seed as the scope.
   void set_fault_scope(std::uint64_t scope) noexcept { fault_scope_ = scope; }
+  [[nodiscard]] std::uint64_t fault_scope() const noexcept {
+    return fault_scope_;
+  }
 
   /// Runs one round of `count` reducers, `body(machine)` for each
   /// machine index, and appends one RoundStats entry per attempt to
@@ -80,15 +79,13 @@ class SimCluster {
   /// Machine loss: when the "sim.machine" site is armed, each machine
   /// may be lost before doing any work (a lost machine contributes
   /// nothing, never partial output). An attempt that loses machines is
-  /// recorded with machines_lost > 0 and the round runs again, up to
-  /// kMaxRoundAttempts attempts; then std::runtime_error. Before each
-  /// retry `replan`, if given, receives the survivor count and returns
-  /// the next count; without it the retry runs all `count` tasks again,
-  /// so `body` must be idempotent (each machine writes only its own
-  /// output slot).
+  /// recorded with machines_lost > 0, and the next attempt runs only
+  /// the lost machines' bodies (its machines_used), up to
+  /// kMaxRoundAttempts attempts; then std::runtime_error. So `body`
+  /// runs exactly once per machine index in a completed round.
   RoundStats& run_round(std::string_view name, int count,
-                        const std::function<void(int)>& body, JobTrace& trace,
-                        const Replan& replan = {}) const;
+                        const std::function<void(int)>& body,
+                        JobTrace& trace) const;
 
  private:
   int machines_;

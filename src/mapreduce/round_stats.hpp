@@ -23,12 +23,13 @@ struct RoundStats {
   std::string name;            ///< human-readable round label
   std::string backend;         ///< effective execution backend for the round
   int round_index = 0;         ///< 0-based position within the job
-  int machines_used = 0;       ///< reducers that ran this round
+  int machines_used = 0;       ///< reducer tasks this attempt ran
   /// Simulated machines lost to injected failure ("sim.machine" fault
   /// site) before doing any work. SimCluster::run_round records an
-  /// attempt with losses and then runs the round again (re-planned for
-  /// the survivors by MRG and EIM, the same tasks otherwise), so a
-  /// trace holds every failed attempt before the one that completed.
+  /// attempt with losses and then runs only the lost machines' tasks
+  /// again, so a trace holds every lossy attempt before the one that
+  /// completed, and each retry's machines_used is the previous
+  /// attempt's machines_lost.
   int machines_lost = 0;
 
   double max_machine_seconds = 0.0;   ///< the paper's "processing time"

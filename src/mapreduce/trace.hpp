@@ -22,29 +22,16 @@ class JobTrace {
   [[nodiscard]] int num_rounds() const noexcept {
     return static_cast<int>(rounds_.size());
   }
-  [[nodiscard]] bool empty() const noexcept { return rounds_.empty(); }
 
   /// The paper's reported runtime: sum over rounds of the max simulated
   /// machine time.
   [[nodiscard]] double simulated_seconds() const noexcept;
 
-  /// Total CPU work across all machines and rounds.
-  [[nodiscard]] double total_machine_seconds() const noexcept;
-
-  /// Host wall time actually spent executing the job.
-  [[nodiscard]] double wall_seconds() const noexcept;
-
   [[nodiscard]] std::uint64_t total_dist_evals() const noexcept;
   [[nodiscard]] std::uint64_t total_pairs_pruned() const noexcept;
-  [[nodiscard]] std::uint64_t total_shuffle_items() const noexcept;
-
-  /// Largest number of machines used by any round.
-  [[nodiscard]] int max_machines_used() const noexcept;
 
   /// Multi-line human-readable dump.
   [[nodiscard]] std::string to_string() const;
-
-  void clear() noexcept { rounds_.clear(); }
 
   /// Merges another trace's rounds after this one (used when an
   /// algorithm delegates to a sub-job).

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "api/solver.hpp"
+#include "core/disjoint_union.hpp"
 #include "data/generators.hpp"
 #include "fault/fault.hpp"
 #include "rng/rng.hpp"
@@ -521,102 +522,132 @@ TEST(ChaosMachineFailure, UnsurvivableLossExhaustsAttemptsAsInternalError) {
       << result.reports[0];
 }
 
-/// One solve of the golden-trace check: the centers, then each round
-/// attempt's name, machines used, machines lost, and evaluated plus
-/// pruned pairs (a sum that reads the same with pruning forced off).
-[[nodiscard]] std::string render_solve(const api::SolveReport& report) {
+/// The fields of a solve that a machine loss must not change: the
+/// centers, the value and radius bits, the iteration and sample counts
+/// and the work counters. Only `rounds`, the trace and the simulated
+/// time may differ.
+[[nodiscard]] std::string answer_of(const api::SolveReport& report) {
   std::ostringstream out;
-  out << "centers";
+  out << std::hexfloat << "centers";
   for (const index_t c : report.centers) out << ' ' << c;
-  out << '\n';
-  for (const mr::RoundStats& round : report.trace.rounds()) {
-    out << round.name << ' ' << round.machines_used << ' '
-        << round.machines_lost << ' '
-        << round.total_dist_evals + round.total_pairs_pruned << '\n';
-  }
+  out << "\nvalue " << report.value << " radius " << report.radius_comparable
+      << "\niterations " << report.iterations << " final_sample_size "
+      << report.final_sample_size << "\ndist_evals " << report.dist_evals
+      << " pairs_pruned " << report.pairs_pruned << " budget_consumed "
+      << report.budget_consumed << '\n';
   return out.str();
 }
 
-struct GoldenSolve {
-  const char* algorithm;
-  const char* rendered;  ///< render_solve() of the recorded solve
-};
+/// Checks that some attempt of `trace` lost a machine and that each
+/// retry re-ran exactly the machines its previous attempt lost.
+void expect_retries_rerun_the_lost(const mr::JobTrace& trace) {
+  const auto& rounds = trace.rounds();
+  EXPECT_TRUE(std::any_of(rounds.begin(), rounds.end(), [](const auto& r) {
+    return r.machines_lost > 0;
+  }));
+  for (std::size_t i = 1; i < rounds.size(); ++i) {
+    if (rounds[i - 1].machines_lost == 0) continue;
+    EXPECT_EQ(rounds[i].name, rounds[i - 1].name) << "attempt " << i;
+    EXPECT_EQ(rounds[i].machines_used, rounds[i - 1].machines_lost)
+        << "attempt " << i;
+  }
+}
 
-// The plan below loses machines in every solve. EIM samples at this
-// shape, so its re-chunked sample and prune retries are pinned too;
-// mrg-du's two chunk MRGs lose the same machines, since each starts a
-// fresh trace and so repeats the round ordinals the loss keys mix in.
-const GoldenSolve kGoldenSolves[] = {
-    {"mrg",
-     "centers 0 702 5694 15561 19858 17809 7055 11724 11406 1936 "
-     "4534 13970 10335 19566 11936 12470 5900 11748 661 19264 384 "
-     "15133 4307 5757 7178\n"
-     "mrg-reduce 50 1 490000\n"
-     "mrg-reduce 49 3 469375\n"
-     "mrg-reduce 46 0 500000\n"
-     "mrg-final 1 0 28750\n"},
-    {"eim",
-     "centers 4 9413 19060 6217 661 8091 7079 9538 13535 7833 "
-     "18802 6467 16473 10335 5900 8666 9855 6859 19264 15133 384 "
-     "16153 11748 7893 3498\n"
-     "eim-sample 50 1 0\n"
-     "eim-sample 49 3 0\n"
-     "eim-sample 46 0 0\n"
-     "eim-select 1 0 125097\n"
-     "eim-prune 46 0 51060000\n"
-     "eim-sample 50 0 0\n"
-     "eim-select 1 0 117315\n"
-     "eim-prune 50 1 30220344\n"
-     "eim-prune 49 2 29576415\n"
-     "eim-prune 47 2 29524275\n"
-     "eim-prune 45 0 30835596\n"
-     "eim-final 1 0 333100\n"},
-    {"ccm",
-     "centers 0 702 9587 13736 10950 5486 7055 13946 11406 19530 "
-     "19192 2858 10335 10365 9855 6864 15471 19264 15006 661 11393 "
-     "15133 14048 17461 3498\n"
-     "ccm-estimate 50 1 490000\n"
-     "ccm-estimate 50 3 470000\n"
-     "ccm-estimate 50 1 490000\n"
-     "ccm-estimate 50 2 480000\n"
-     "ccm-estimate 50 0 500000\n"
-     "ccm-grid 50 0 0\n"
-     "ccm-final 1 0 234275\n"},
-    {"mrg-du",
-     "centers 0 702 9587 13736 7096 5486 7055 4277 5918 356 2326 "
-     "8938 10335 9857 11936 5900 15471 11748 19264 661 6917 7833 "
-     "15133 7810 3498\n"
-     "mrg-reduce 50 1 245000\n"
-     "mrg-reduce 49 3 234700\n"
-     "mrg-reduce 46 0 250000\n"
-     "mrg-final 1 0 28750\n"
-     "mrg-reduce 50 1 245000\n"
-     "mrg-reduce 49 3 234700\n"
-     "mrg-reduce 46 0 250000\n"
-     "mrg-final 1 0 28750\n"
-     "union-final 1 0 1250\n"},
-};
-
-TEST(ChaosMachineFailure, RetriedRoundsReplayTheirGoldenTraces) {
+// A round that loses machines re-runs only their tasks, so a solve that
+// completes under a loss plan reports the lossless answer, on either
+// backend. Every plan below loses machines in every solve.
+TEST(ChaosMachineFailure, LossyRunsReportTheLosslessAnswer) {
   Rng rng(23);
   const PointSet data = data::generate_gau(20'000, 25, 2, 100.0, 0.5, rng);
-  const fault::ScopedPlan armed("seed=5;sim.machine:p=0.02");
-  for (const GoldenSolve& golden : kGoldenSolves) {
-    SCOPED_TRACE(golden.algorithm);
+  std::vector<int> assignment(data.size());
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    assignment[i] = static_cast<int>(i * 7 % 50);
+  }
+  struct Config {
+    const char* algorithm;
+    bool explicit_partition;  ///< MRG's first round on `assignment`
+  };
+  const auto solve = [&](const Config& config, exec::BackendKind kind) {
     api::SolveRequest request;
     request.points = &data;
     request.k = 25;
-    request.algorithm = golden.algorithm;
-    request.exec.kind = exec::BackendKind::Sequential;
+    request.algorithm = config.algorithm;
+    if (config.explicit_partition) {
+      MrgOptions options;
+      options.partition = mr::PartitionStrategy::Explicit;
+      options.explicit_assignment = assignment;
+      request.options = options;
+    }
+    request.exec.kind = kind;
+    request.exec.threads = 4;
     request.exec.machines = 50;
     request.seed = 1;
-    const api::SolveReport report = api::Solver().solve(request);
-    const auto& rounds = report.trace.rounds();
-    EXPECT_TRUE(std::any_of(rounds.begin(), rounds.end(), [](const auto& r) {
-      return r.machines_lost > 0;
-    }));
-    EXPECT_EQ(render_solve(report), golden.rendered);
+    request.max_dist_evals = std::uint64_t{1} << 40;
+    request.budgeted_eval = true;
+    return api::Solver().solve(request);
+  };
+  const Config configs[] = {{"mrg", false},
+                            {"mrg", true},
+                            {"eim", false},
+                            {"ccm", false},
+                            {"mrg-du", false}};
+  const char* sequential_plans[] = {
+      "seed=5;sim.machine:p=0.02", "seed=2;sim.machine:p=0.02",
+      "seed=2;sim.machine:p=0.05", "seed=1;sim.machine:p=0.1",
+      "seed=2;sim.machine:p=0.1",  "seed=4;sim.machine:p=0.3"};
+  const char* pool_plan = "seed=2;sim.machine:p=0.1";
+  for (const Config& config : configs) {
+    SCOPED_TRACE(std::string(config.algorithm) +
+                 (config.explicit_partition ? " (explicit)" : ""));
+    // The baseline runs with no plan armed and never reads
+    // KC_FAULT_PLAN, so it stays lossless under the CI chaos legs.
+    const std::string lossless =
+        answer_of(solve(config, exec::BackendKind::Sequential));
+    for (const char* plan : sequential_plans) {
+      SCOPED_TRACE(plan);
+      const fault::ScopedPlan armed(plan);
+      const api::SolveReport report =
+          solve(config, exec::BackendKind::Sequential);
+      EXPECT_EQ(answer_of(report), lossless);
+      expect_retries_rerun_the_lost(report.trace);
+    }
+    SCOPED_TRACE(std::string("pool, ") + pool_plan);
+    const fault::ScopedPlan armed(pool_plan);
+    const api::SolveReport report =
+        solve(config, exec::BackendKind::ThreadPool);
+    EXPECT_EQ(answer_of(report), lossless);
+    expect_retries_rerun_the_lost(report.trace);
   }
+}
+
+/// Each attempt of `trace` as "name machines_used machines_lost".
+[[nodiscard]] std::vector<std::string> attempts_of(const mr::JobTrace& trace) {
+  std::vector<std::string> attempts;
+  for (const mr::RoundStats& round : trace.rounds()) {
+    attempts.push_back(round.name + ' ' + std::to_string(round.machines_used) +
+                       ' ' + std::to_string(round.machines_lost));
+  }
+  return attempts;
+}
+
+TEST(ChaosMachineFailure, DisjointUnionChunksDrawTheirOwnLosses) {
+  // Each chunk's MRG starts a fresh trace, so both chunks repeat the
+  // same round ordinals; the chunk mixed into each one's fault scope
+  // keeps their losses apart. With one scope for both, these two
+  // equal-sized chunks would lose the same machines in every attempt.
+  Rng rng(23);
+  const PointSet data = data::generate_gau(20'000, 25, 2, 100.0, 0.5, rng);
+  const DistanceOracle oracle(data);
+  const auto all = data.all_indices();
+  mr::SimCluster cluster(50);
+  cluster.set_fault_scope(1);
+  const fault::ScopedPlan armed("seed=5;sim.machine:p=0.02");
+  const DisjointUnionResult result =
+      mrg_disjoint_union(oracle, all, 25, cluster, DisjointUnionOptions{});
+  ASSERT_EQ(result.chunk_results.size(), 2u);
+  const auto first = attempts_of(result.chunk_results[0].trace);
+  const auto second = attempts_of(result.chunk_results[1].trace);
+  EXPECT_NE(first, second);
 }
 
 // -------------------------------------------------------- the soak

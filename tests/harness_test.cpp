@@ -120,6 +120,19 @@ TEST(Args, RejectsMalformedNumbers) {
   cli::Args args(3, argv);
   EXPECT_THROW((void)args.integer("n", 0), std::invalid_argument);
   EXPECT_THROW((void)args.real("phi", 0.0), std::invalid_argument);
+
+  // A number followed by junk, a negative list entry, and int-valued
+  // flags outside int.
+  const char* junk[] = {"prog", "--n=25x", "--phi=8abc", "--k=2,-1",
+                        "--threads=4294967297", "--machines=4294967298"};
+  cli::Args partial(6, junk);
+  EXPECT_THROW((void)partial.integer("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)partial.size("n", 0), std::invalid_argument);
+  EXPECT_THROW((void)partial.real("phi", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)partial.size_list("k", {}), std::invalid_argument);
+  EXPECT_THROW((void)cli::exec_threads(partial), std::invalid_argument);
+  EXPECT_THROW((void)partial.int_value("machines", 50), std::invalid_argument);
+  EXPECT_EQ(partial.integer("machines", 50), 4294967298);
 }
 
 TEST(Args, TracksUnconsumedFlags) {

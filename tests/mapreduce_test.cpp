@@ -318,25 +318,7 @@ TEST(SimCluster, LostAttemptStaysInTheTraceAndTheRoundReturnsTheLast) {
   EXPECT_EQ(last.machines_lost, 0);
 }
 
-TEST(SimCluster, ReplanSetsTheRetrysTaskCountFromTheSurvivors) {
-  const fault::ScopedPlan armed("sim.machine:nth=2");
-  const SimCluster cluster(4);
-  JobTrace trace;
-  std::vector<std::vector<int>> ran(1);  // machines run, per attempt
-  std::vector<int> survivors_seen;
-  const RoundStats& last = cluster.run_round(
-      "r", 4, [&](int machine) { ran.back().push_back(machine); }, trace,
-      [&](int survivors) {
-        survivors_seen.push_back(survivors);
-        ran.emplace_back();
-        return survivors - 1;
-      });
-  EXPECT_EQ(survivors_seen, std::vector<int>{3});
-  EXPECT_EQ(ran, (std::vector<std::vector<int>>{{0, 2, 3}, {0, 1}}));
-  EXPECT_EQ(last.machines_used, 2);
-}
-
-TEST(SimCluster, RetryWithoutReplanRunsTheSameCount) {
+TEST(SimCluster, RetryRunsOnlyTheLostMachines) {
   const fault::ScopedPlan armed("sim.machine:nth=2");
   const SimCluster cluster(4);
   JobTrace trace;
@@ -344,8 +326,8 @@ TEST(SimCluster, RetryWithoutReplanRunsTheSameCount) {
   const RoundStats& last = cluster.run_round(
       "r", 4, [&](int machine) { ++runs[machine]; }, trace);
   ASSERT_EQ(trace.num_rounds(), 2);
-  EXPECT_EQ(runs, (std::vector<int>{2, 1, 2, 2}));
-  EXPECT_EQ(last.machines_used, 4);
+  EXPECT_EQ(runs, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(last.machines_used, 1);
 }
 
 TEST(SimCluster, UnsurvivableLossThrowsAfterEveryAttemptIsRecorded) {
@@ -370,10 +352,7 @@ TEST(SimCluster, UnsurvivableLossThrowsAfterEveryAttemptIsRecorded) {
 TEST(SimCluster, UnarmedRoundMakesOneAttempt) {
   const SimCluster cluster(4);
   JobTrace trace;
-  cluster.run_round("r", 4, [](int) {}, trace, [](int) -> int {
-    ADD_FAILURE() << "re-planned a round that lost no machine";
-    return 1;
-  });
+  cluster.run_round("r", 4, [](int) {}, trace);
   ASSERT_EQ(trace.num_rounds(), 1);
   EXPECT_EQ(trace.rounds()[0].machines_lost, 0);
 }
@@ -391,7 +370,6 @@ TEST(JobTrace, SimulatedTimeIsSumOfRoundMaxima) {
   trace.add_round(r1);
   trace.add_round(r2);
   EXPECT_DOUBLE_EQ(trace.simulated_seconds(), 2.0);
-  EXPECT_DOUBLE_EQ(trace.total_machine_seconds(), 6.5);
 }
 
 TEST(JobTrace, RoundIndicesAreAssignedSequentially) {
@@ -408,16 +386,13 @@ TEST(JobTrace, AggregatesWorkAndShuffle) {
   JobTrace trace;
   RoundStats r;
   r.total_dist_evals = 100;
-  r.shuffle_items = 7;
-  r.machines_used = 3;
+  r.total_pairs_pruned = 7;
   trace.add_round(r);
   r.total_dist_evals = 50;
-  r.shuffle_items = 5;
-  r.machines_used = 9;
+  r.total_pairs_pruned = 5;
   trace.add_round(r);
   EXPECT_EQ(trace.total_dist_evals(), 150u);
-  EXPECT_EQ(trace.total_shuffle_items(), 12u);
-  EXPECT_EQ(trace.max_machines_used(), 9);
+  EXPECT_EQ(trace.total_pairs_pruned(), 12u);
 }
 
 TEST(JobTrace, AppendReindexesRounds) {
