@@ -20,8 +20,10 @@
 // Flags:
 //   --json=PATH    output path (default BENCH_exec.json; empty = off)
 //   --threads=N    pool size (default 4)
-//   --reps=R       repetitions per measurement, best-of (default 5)
+//   --reps=R       repetitions per measurement, best-of (default 5, or 2
+//                  with --quick)
 //   --quick        smaller rounds/instances (CI smoke)
+// A malformed number or an unknown flag exits 2.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -36,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli/args.hpp"
 #include "core/kcenter.hpp"
 #include "exec/topology.hpp"
 
@@ -309,21 +312,17 @@ void write_json(const Config& cfg, const std::vector<Entry>& entries) {
 
 int main(int argc, char** argv) {
   Config cfg;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--json=", 0) == 0) {
-      cfg.json_path = arg.substr(7);
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      cfg.threads = std::max(1, std::atoi(arg.substr(10).c_str()));
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      cfg.reps = std::max(1, std::atoi(arg.substr(7).c_str()));
-    } else if (arg == "--quick") {
-      cfg.quick = true;
-      cfg.reps = std::min(cfg.reps, 2);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
+  try {
+    kc::cli::Args args(argc, argv);
+    cfg.json_path = args.str("json").value_or(cfg.json_path);
+    cfg.threads = std::max(1, args.int_value("threads", cfg.threads));
+    cfg.quick = args.flag("quick");
+    cfg.reps = std::max(
+        1, args.int_value("reps", cfg.quick ? std::min(cfg.reps, 2) : cfg.reps));
+    kc::cli::reject_unknown_flags(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return kc::cli::exit_status(e);
   }
 
   const unsigned hw = std::thread::hardware_concurrency();

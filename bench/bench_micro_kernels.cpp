@@ -19,6 +19,7 @@
 //   --n=N           points per scan (default 65536)
 //   --reps=R        timed repetitions per cell, best-of (default 5)
 //   --gbench [...]  run the google-benchmark suite with remaining args
+// A malformed number or an unknown flag before --gbench exits 2.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -27,9 +28,11 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli/args.hpp"
 #include "core/kcenter.hpp"
 #include "data/generators.hpp"
 #include "exec/topology.hpp"
@@ -200,18 +203,18 @@ Cell run_tile_cell(const KernelTable& table, kc::MetricKind metric,
 /// The three shapes of the pruned-scan matrix.
 enum class PruneShape {
   Unpruned,  ///< exact blocked multi-scan through the oracle (the bar)
-  Cold,      ///< ordered pruned scan from best[] = inf, no cached bounds
-  Warm,      ///< ordered pruned scan of k *new* centers against an
-             ///< already-converged best[] with a live PruneCache — the
+  Cold,      ///< a sweep's first fold on the grid, from +inf, no bounds
+  Warm,      ///< a later fold of k *new* centers into a sweep that has
+             ///< already folded k and keeps its cell bounds — the
              ///< steady state of iterative rounds (EIM select rounds,
              ///< GON sweeps after the first few)
 };
 
 /// Effective cost of one full k-center scan through the oracle: wall
 /// time divided by all n*k pairs, whether evaluated or skipped. Pruned
-/// cells use the ordered scans (best[] in cell order); their values
-/// are bit-identical to the unpruned cell's modulo the known
-/// permutation, so any gap in
+/// cells fold through a NearestSweep on the grid (values in cell
+/// order); their values are bit-identical to the unpruned cell's
+/// modulo the known permutation, so any gap in
 /// effective ns/pair is pure pruning win. All shapes scan GON-selected
 /// centers — the realistic sweep sequence, where each new center
 /// approaches from an unexplored direction (the adversarial case for
@@ -238,21 +241,21 @@ Cell run_pruned_cell(kc::MetricKind metric, std::size_t dim, std::size_t k,
           : prime_centers;
 
   std::optional<kc::SpatialIndex> index;
-  std::optional<kc::PruneCache> cache;
   if (shape != PruneShape::Unpruned) {
     index.emplace(ps);
     oracle.bind_index(&*index, kc::PruneMode::On);
   }
   std::vector<double> best(cfg.n, kc::kInfDist);
+  std::optional<kc::NearestSweep> warm;
   if (shape == PruneShape::Warm) {
-    cache.emplace(*index);
-    oracle.update_nearest_multi_ordered(prime_centers, best, &*cache);
+    warm.emplace(oracle, ids);
+    warm->fold(prime_centers);
   }
   // One timed region = one whole scan. Cold/unpruned restart from inf
   // each rep (the select-round shape: within the call the cell bounds
   // tighten block by block, so late center blocks prune against early
   // ones). Warm folds its centers once in the warm-up call; timed reps
-  // then measure the converged re-scan, where the cached bounds skip
+  // then measure the converged re-scan, where the kept bounds skip
   // nearly everything — the cost an iterative round actually pays.
   const auto body = [&] {
     switch (shape) {
@@ -261,11 +264,10 @@ Cell run_pruned_cell(kc::MetricKind metric, std::size_t dim, std::size_t k,
         oracle.update_nearest_multi(ids, scan_centers, best);
         break;
       case PruneShape::Cold:
-        std::fill(best.begin(), best.end(), kc::kInfDist);
-        oracle.update_nearest_multi_ordered(scan_centers, best);
+        kc::NearestSweep(oracle, ids).fold(scan_centers);
         break;
       case PruneShape::Warm:
-        oracle.update_nearest_multi_ordered(scan_centers, best, &*cache);
+        warm->fold(scan_centers);
         break;
     }
   };
@@ -425,46 +427,40 @@ int run_gbench(int argc, char** argv);  // defined below
 #endif
 
 int main(int argc, char** argv) {
+  // Everything after --gbench belongs to google-benchmark.
+  int own = 1;
+  while (own < argc && std::strcmp(argv[own], "--gbench") != 0) ++own;
   MatrixConfig cfg;
   std::string json_path = "BENCH_kernels.json";
-  // Flag errors exit 2, the bench-wide convention (bench/common.hpp).
-  const auto positive_number = [](const std::string& arg,
-                                  const std::string& value) -> std::size_t {
-    try {
-      const std::size_t parsed = std::stoull(value);
-      if (parsed > 0) return parsed;
-    } catch (const std::exception&) {
+  bool isa_only = false;
+  try {
+    kc::cli::Args args(own, argv);
+    isa_only = args.flag("print-isa");
+    json_path = args.str("json").value_or(json_path);
+    cfg.n = args.size("n", cfg.n);
+    cfg.reps = args.int_value("reps", cfg.reps);
+    if (cfg.n == 0 || cfg.reps < 1) {
+      throw std::invalid_argument("--n and --reps must be positive");
     }
-    std::fprintf(stderr, "bad value in %s (need a positive integer)\n",
-                 arg.c_str());
-    std::exit(2);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--print-isa") {
-      print_isa();
-      return 0;
-    }
-    if (arg.rfind("--json=", 0) == 0) {
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--n=", 0) == 0) {
-      cfg.n = positive_number(arg, arg.substr(4));
-    } else if (arg.rfind("--reps=", 0) == 0) {
-      cfg.reps = static_cast<int>(positive_number(arg, arg.substr(7)));
-    } else if (arg == "--gbench") {
+    kc::cli::reject_unknown_flags(args);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return kc::cli::exit_status(e);
+  }
+  if (isa_only) {
+    print_isa();
+    return 0;
+  }
+  if (own < argc) {
 #ifdef KC_HAVE_GBENCH
-      // Hand the remaining args to google-benchmark (shift ours out).
-      argv[i] = argv[0];
-      return run_gbench(argc - i, argv + i);
+    // Hand the remaining args to google-benchmark (shift ours out).
+    argv[own] = argv[0];
+    return run_gbench(argc - own, argv + own);
 #else
-      std::fprintf(stderr,
-                   "built without google-benchmark; --gbench unavailable\n");
-      return 1;
+    std::fprintf(stderr,
+                 "built without google-benchmark; --gbench unavailable\n");
+    return 1;
 #endif
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
-    }
   }
 
   const auto cells = run_matrix(cfg);

@@ -1,9 +1,7 @@
 #include "algo/gonzalez.hpp"
 
-#include <optional>
 #include <stdexcept>
 
-#include "geom/spatial_index.hpp"
 #include "rng/rng.hpp"
 
 namespace kc {
@@ -27,50 +25,28 @@ GonzalezResult gonzalez(const DistanceOracle& oracle,
     first_pos = static_cast<std::size_t>(rng.uniform_int(n));
   }
 
-  // best[i] = comparable distance from pts[i] to the nearest chosen
-  // center so far. Each new center costs one update_nearest sweep, for
-  // the O(k*N) total the paper cites in §5.1. The sweep and the argmax
-  // both run on the SIMD kernel engine; top-level callers pass
-  // all_indices(), so the sweep takes the contiguous fast path and
-  // streams PointSet rows without the ids gather.
-  //
-  // When the scan covers the oracle's whole point set and a grid index
-  // is bound, best[] is kept in *cell order* (the oracle's ordered
-  // scans), so pruned sweeps fold kernels into contiguous slices.
-  // Gonzalez is exactly the shape PruneCache exists for: k sweeps over
-  // one best[] array that only ever tightens, so per-cell bounds from
-  // sweep t keep pruning sweep t+1 without an O(n) re-derivation. The
-  // cache lives and dies with best[] right here, per its contract. The
-  // values are bit-identical in either domain; only the argmax needs
-  // care, because the id-order argmax breaks value ties on the smallest
-  // id and the permuted order would break them on grid position.
-  std::vector<double> best(n, kInfDist);
-  const bool ordered = oracle.ordered_scans_available(pts);
-  std::optional<PruneCache> cache;
-  if (ordered) cache.emplace(*oracle.spatial_index());
-  // ids[j] is the point whose distance best[j] holds.
-  const std::span<const index_t> ids =
-      ordered ? oracle.spatial_index()->order() : pts;
-
+  // The sweep holds each point's comparable distance to the nearest
+  // chosen center so far. Each new center costs one fold, for the
+  // O(k*N) total the paper cites in §5.1, and the farthest point is the
+  // next center. Top-level callers pass all_indices(), so the folds take
+  // the kernels' contiguous fast path, or run on the grid when one is
+  // bound: k folds into one array that only ever tightens is the shape
+  // the sweep's per-cell bounds exist for.
+  NearestSweep sweep(oracle, pts);
   index_t current = pts[first_pos];
   result.centers.push_back(current);
   result.greedy_radii_comparable.push_back(0.0);
 
   for (std::size_t step = 1; step <= centers_wanted; ++step) {
-    if (ordered) {
-      oracle.update_nearest_ordered(current, best, &*cache);
-    } else {
-      oracle.update_nearest(pts, current, best);
-    }
+    sweep.fold(current);
     if (step == centers_wanted) break;
-    const std::size_t far_pos =
-        ordered ? argmax_smallest_id(best, ids) : argmax(best);
-    result.greedy_radii_comparable.push_back(best[far_pos]);
-    current = ids[far_pos];
+    const NearestSweep::Farthest far = sweep.farthest();
+    result.greedy_radii_comparable.push_back(far.comparable);
+    current = far.id;
     result.centers.push_back(current);
   }
 
-  result.radius_comparable = best[argmax(std::span<const double>(best))];
+  result.radius_comparable = sweep.farthest().comparable;
   return result;
 }
 

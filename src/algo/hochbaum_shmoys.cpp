@@ -126,17 +126,11 @@ KCenterResult hochbaum_shmoys(const DistanceOracle& oracle,
     throw std::logic_error("hochbaum_shmoys: feasibility search failed");
   }
 
-  // Report the solution's actual covering radius over pts (one
-  // center-blocked pass instead of one sweep per center), on the grid
-  // when pts is the whole indexed point set: a maximum does not depend
-  // on the order of best[].
-  std::vector<double> best(pts.size(), kInfDist);
-  if (oracle.ordered_scans_available(pts)) {
-    oracle.update_nearest_multi_ordered(result.centers, best);
-  } else {
-    oracle.update_nearest_multi(pts, result.centers, best);
-  }
-  result.radius_comparable = best[argmax(std::span<const double>(best))];
+  // Report the solution's actual covering radius over pts: one batch
+  // fold instead of one sweep per center.
+  NearestSweep sweep(oracle, pts);
+  sweep.fold(result.centers);
+  result.radius_comparable = sweep.farthest().comparable;
   return result;
 }
 

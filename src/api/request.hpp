@@ -84,9 +84,9 @@ struct SolveRequest {
   std::uint64_t seed = 1;
 
   /// Spatial pruning of the bulk distance scans (geom/spatial_index.hpp).
-  /// Auto builds a grid index, over which whole-set scans (GON's sweeps,
-  /// the offline evaluation, HS's radius pass) run as cell-pruned ordered
-  /// scans, only where their predicted saving exceeds the predicted
+  /// Auto builds a grid index, on which whole-set sweeps (GON's, the
+  /// offline evaluation, HS's radius pass) skip whole cells, only where
+  /// their predicted saving exceeds the predicted
   /// build: low dimension, enough points, and enough whole-set sweeps
   /// or evaluation centers (api::builds_index). Auto also turns on EIM's
   /// sample boxes, at any dim, built or not; On forces the index

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -33,35 +32,18 @@ void check_cancelled(const CcmOptions& options, const char* where) {
 }
 
 /// One representative point (the part's first, deterministically) per
-/// non-empty grid cell of width `w`; doubles `w` until at most `cap`
-/// cells are occupied. Spends no distance evaluations.
+/// non-empty grid cell of width `w`, in part order; doubles `w` until
+/// at most `cap` cells are occupied. Spends no distance evaluations.
 [[nodiscard]] std::vector<index_t> grid_representatives(
     const PointSet& points, std::span<const index_t> part, double w,
     std::size_t cap, double* effective_w) {
-  std::vector<index_t> reps;
-  for (;;) {
-    reps.clear();
-    // Exact cell keys (no hash collisions): deterministic across
-    // backends and platforms.
-    std::map<std::vector<std::int64_t>, index_t> cells;
-    std::vector<std::int64_t> key(points.dim());
-    bool overflow = false;
-    for (const index_t id : part) {
-      // Shared snapping helper (geom/spatial_index.hpp): the coreset
-      // grid and the pruning index cannot drift apart. It clamps before
-      // the cast so a coordinate huge relative to w (tiny r_hat under
-      // far-flung outliers) saturates instead of overflowing.
-      grid_cell_key(points[id], w, key);
-      if (cells.try_emplace(key, id).second) {
-        reps.push_back(id);
-        if (reps.size() > cap) {
-          overflow = true;
-          break;
-        }
-      }
-    }
-    if (!overflow) break;
+  // The snapping is the pruning index's own (geom/spatial_index.hpp),
+  // clamped so a coordinate huge relative to w (tiny r_hat under
+  // far-flung outliers) saturates instead of overflowing.
+  std::vector<index_t> reps = first_point_per_cell(points, part, w, cap);
+  while (reps.size() > cap) {
     w *= 2.0;  // halve the resolution until the part fits the cap
+    reps = first_point_per_cell(points, part, w, cap);
   }
   *effective_w = w;
   return reps;

@@ -11,9 +11,11 @@
 //     own points within r_i, and a part's k-center optimum is at most
 //     twice the whole input's).
 //   round 2 (ccm-grid): each reducer snaps its part to an axis-aligned
-//     grid of width w ~ eps * r_hat / (2 * norm(d)) and emits one
-//     representative point per non-empty cell — a coreset: every input
-//     point has a representative within eps * r_hat / 2. No distance
+//     grid of width w ~ eps * r_hat / (2 * norm(d)) and emits the first
+//     point of each non-empty cell, in part order — a coreset: every
+//     input point has a representative within eps * r_hat / 2. The
+//     snapping and the cell table are the pruning index's own
+//     (first_point_per_cell, geom/spatial_index.hpp). No distance
 //     evaluations are spent; the compression is pure coordinate
 //     arithmetic, which is what makes the round communication-light.
 //     A reducer whose part needs more cells than the per-machine cap

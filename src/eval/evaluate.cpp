@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "exec/backend.hpp"
-#include "geom/spatial_index.hpp"
 
 namespace kc::eval {
 
@@ -16,25 +15,14 @@ Evaluation covering_radius(const DistanceOracle& oracle,
     throw std::invalid_argument("covering_radius: empty centers");
   }
 
-  // Over the whole indexed point set the scan runs in cell order, where
-  // the grid prunes it; pts is then in id order, so the smallest id
-  // among the maxima is the one the id-order argmax would find first.
-  const bool ordered = oracle.ordered_scans_available(pts);
-  const std::span<const index_t> ids =
-      ordered ? oracle.spatial_index()->order() : pts;
-  std::vector<double> best(pts.size(), kInfDist);
-  if (ordered) {
-    oracle.update_nearest_multi_ordered(centers, best);
-  } else {
-    oracle.update_nearest_multi(pts, centers, best);
-  }
-  const std::size_t best_pos =
-      ordered ? argmax_smallest_id(best, ids) : argmax(best);
+  NearestSweep sweep(oracle, pts);
+  sweep.fold(centers);
+  const NearestSweep::Farthest far = sweep.farthest();
 
   Evaluation out;
-  out.radius_comparable = best[best_pos];
-  out.radius = oracle.to_reported(best[best_pos]);
-  out.witness = ids[best_pos];
+  out.radius_comparable = far.comparable;
+  out.radius = oracle.to_reported(far.comparable);
+  out.witness = far.id;
   return out;
 }
 

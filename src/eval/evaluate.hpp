@@ -29,11 +29,11 @@ struct Evaluation {
 };
 
 /// Max over `pts` of the distance to the nearest of `centers`, with the
-/// earliest point of `pts` attaining it as the witness. One
-/// center-blocked scan, so a bound executor shards it (gated or not)
-/// exactly like the solve-path kernels: update_nearest_multi_ordered,
-/// pruned on the grid, when the oracle's ordered_scans_available(pts)
-/// (a stop then raises under that label), else update_nearest_multi.
+/// earliest point of `pts` attaining it as the witness. One batch fold
+/// of a NearestSweep, so a bound executor shards it (gated or not)
+/// exactly like the solve-path kernels, and over a whole point set with
+/// a bound grid it prunes there. A stop raises under the fold's label
+/// (update_nearest_multi, or update_nearest_multi_ordered on the grid).
 /// The radius bits and the witness are the same either way.
 [[nodiscard]] Evaluation covering_radius(const DistanceOracle& oracle,
                                          std::span<const index_t> pts,

@@ -4,8 +4,6 @@
 #include <array>
 #include <atomic>
 #include <cmath>
-#include <stdexcept>
-#include <string>
 
 #include "exec/backend.hpp"
 #include "exec/chunk_context.hpp"
@@ -206,31 +204,6 @@ bool DistanceOracle::sample_boxes_enabled() const noexcept {
   return prune_mode_ != PruneMode::Off && !force_no_prune_requested();
 }
 
-bool DistanceOracle::ordered_domain() const noexcept {
-  return index_ != nullptr && prune_mode_ != PruneMode::Off &&
-         !force_no_prune_requested() && &index_->points() == points_ &&
-         points_->size() > 0;
-}
-
-bool DistanceOracle::ordered_scans_available(
-    std::span<const index_t> ids) const noexcept {
-  return ordered_domain() && ids.size() == points_->size() &&
-         ids.front() == 0 && simd::is_contiguous_run(ids.data(), ids.size());
-}
-
-void DistanceOracle::update_nearest_ordered(index_t center,
-                                            std::span<double> best_ordered,
-                                            PruneCache* cache) const {
-  const index_t one[1] = {center};
-  pruned_scan({one, 1}, best_ordered, cache, "update_nearest_ordered");
-}
-
-void DistanceOracle::update_nearest_multi_ordered(
-    std::span<const index_t> centers, std::span<double> best_ordered,
-    PruneCache* cache) const {
-  pruned_scan(centers, best_ordered, cache, "update_nearest_multi_ordered");
-}
-
 double DistanceOracle::comparable(index_t a, index_t b) const noexcept {
   counters::add_distance_evals(1, dim());
   return kernels_->pair[metric_index()](points_->data(a), points_->data(b),
@@ -246,14 +219,9 @@ double DistanceOracle::from_reported(double dist) const noexcept {
 }
 
 void DistanceOracle::pruned_scan(std::span<const index_t> centers,
-                                 std::span<double> best, PruneCache* cache,
+                                 std::span<double> best,
+                                 std::vector<double>* bounds,
                                  std::string_view where) const {
-  if (!ordered_domain() || best.size() != points_->size()) {
-    throw std::logic_error(std::string(where) +
-                           ": no matching spatial index bound (check "
-                           "ordered_scans_available())");
-  }
-  if (centers.empty()) return;
   const SpatialIndex& idx = *index_;
   const std::size_t n = points_->size();
   const std::size_t d = dim();
@@ -261,52 +229,21 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
   const std::size_t ncells = idx.cell_count();
   const std::size_t m = metric_index();
 
-  // Per-cell upper bounds: cached across calls when the caller supplies
-  // a primed cache for this index, otherwise one O(n) fold over best.
-  // The invariant both paths establish — ub[c] >= best[i] for every
-  // member i of c — is what makes a skip a provable no-op, and min-folds
-  // only ever lower best, so a bound can go stale large (less pruning)
-  // but never stale small.
-  std::vector<double> local_ub;
-  std::span<double> ub;
-  const bool cached = cache != nullptr && cache->index() == index_;
-  if (cached) {
-    ub = cache->bounds();
-  } else {
-    local_ub.assign(ncells, 0.0);
-    ub = local_ub;
-  }
-  bool all_inf = false;
-  if (!cached || !cache->primed()) {
-    // Fresh scans (the GON first sweep, the covering radius) are all
-    // infinite — one branch-free vectorizable pass detects that and
-    // skips the per-cell maxima entirely.
-    all_inf = true;
-    for (std::size_t i = 0; i < n && all_inf; i += 1024) {
-      const std::size_t e = std::min(n, i + 1024);
-      bool chunk_inf = true;
-      for (std::size_t j = i; j < e; ++j) {
-        chunk_inf = chunk_inf && best[j] == kInfDist;
-      }
-      all_inf = chunk_inf;
-    }
-    if (all_inf) {
-      std::fill(ub.begin(), ub.end(), kInfDist);
-    } else {
-      // Each cell is a contiguous slice, so priming is a straight max
-      // per slice.
-      for (std::size_t c = 0; c < ncells; ++c) {
-        ub[c] = max_of(best.data() + idx.cell_begin(c), idx.cell_size(c));
-      }
-    }
-    if (cached) cache->set_primed();
-  }
-
-  // Cold scans (best all infinite): no bound can prune the first center
-  // block anywhere, so fold it over whole contiguous row ranges at full
-  // blocked-kernel speed instead of dispatching cell by cell. Later
-  // blocks then prune against the bounds this pass leaves behind.
-  const std::size_t nb0 = all_inf ? std::min(k, simd::kCenterBlock) : 0;
+  // Every bound keeps ub[c] >= best[i] for each member i of cell c,
+  // which is what makes a skip a provable no-op; min-folds only ever
+  // lower best, so a bound can go stale large (less pruning) but never
+  // stale small. A cold scan (best all infinite) keeps none: no bound
+  // can prune its first center block anywhere, so that block folds over
+  // whole contiguous row ranges at full blocked-kernel speed instead of
+  // cell by cell, and later blocks prune against each cell's maximum
+  // after it. Bounds kept for the first time start at +inf, and each
+  // cell seeds its own from its slice when the walk reaches it, so a
+  // stop anywhere leaves every bound valid.
+  const bool cold = bounds == nullptr;
+  const bool seed = !cold && bounds->empty();
+  if (seed) bounds->assign(ncells, kInfDist);
+  double* const ub = cold ? nullptr : bounds->data();
+  const std::size_t nb0 = cold ? std::min(k, simd::kCenterBlock) : 0;
 
   ScanTally tally;
 
@@ -339,16 +276,16 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
       }
     }
 
-    // After a global pass that covered every center, the per-cell walk
-    // only has bounds to refresh — and only a cache outlives the scan.
-    const bool cell_walk = !(nb0 >= k && !cached);
+    // A cold scan whose global pass covered every center is done.
+    const bool cell_walk = !(cold && nb0 >= k);
     for (std::size_t c = clo; c < chi && !stopped && cell_walk; ++c) {
       if (gate.stopped()) break;
       const std::size_t base = idx.cell_begin(c);
       const std::size_t sz = idx.cell_size(c);
       double* slice = best.data() + base;
-      // After a global pass, seed the bound from its results.
-      double ubc = nb0 > 0 ? max_of(slice, sz) : ub[c];
+      // After a global pass, or for a bound kept for the first time,
+      // seed the bound from the slice itself.
+      double ubc = cold || seed ? max_of(slice, sz) : ub[c];
       std::size_t pos = nb0;
       while (pos < k && !stopped) {
         // Next block of surviving centers, in ascending center order —
@@ -382,20 +319,19 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
         if (stopped) break;
         // Refresh the bound from the just-tightened values so the
         // remaining centers prune against them — this is what lets a
-        // fresh best == kInfDist scan (ub starts infinite) prune every
-        // block after the first. After the last block the max only
-        // matters when the bounds outlive this scan in a cache.
-        if (pos < k || cached) ubc = max_of(slice, sz);
+        // cold scan prune every block after the first. After the last
+        // block the max only matters when the scan keeps its bounds.
+        if (pos < k || !cold) ubc = max_of(slice, sz);
       }
-      if (!stopped) ub[c] = ubc;
+      if (!stopped && !cold) ub[c] = ubc;
       if (!gate.poll()) stopped = true;
     }
     gate.settle();
   };
 
   // Fan out over *cell* ranges (cells own disjoint slices of best and
-  // ub, so chunks never share state); the grain targets the same
-  // ~shard_min_/2 pair evaluations per chunk as the unpruned scans.
+  // of the bounds, so chunks never share state); the grain targets the
+  // same ~shard_min_/2 pair evaluations per chunk as the unpruned scans.
   const bool fan_out =
       exec_ != nullptr && k > 0 && n > shard_min_ / k && ncells > 1;
   if (fan_out) {
@@ -406,6 +342,48 @@ void DistanceOracle::pruned_scan(std::span<const index_t> centers,
     body(0, ncells);
   }
   tally.finish(d, where);
+}
+
+NearestSweep::NearestSweep(const DistanceOracle& oracle,
+                           std::span<const index_t> pts)
+    : oracle_(&oracle), ids_(pts), best_(pts.size(), kInfDist) {
+  const SpatialIndex* index = oracle.spatial_index();
+  const std::size_t n = oracle.points().size();
+  if (index != nullptr && oracle.prune_mode() != PruneMode::Off &&
+      !force_no_prune_requested() && &index->points() == &oracle.points() &&
+      n > 0 && pts.size() == n && pts.front() == 0 &&
+      simd::is_contiguous_run(pts.data(), n)) {
+    grid_ = index;
+    ids_ = index->order();
+  }
+}
+
+void NearestSweep::fold(index_t center) {
+  if (grid_ == nullptr) {
+    oracle_->update_nearest(ids_, center, best_);
+    return;
+  }
+  const index_t one[1] = {center};
+  oracle_->pruned_scan(one, best_, folded_ ? &bounds_ : nullptr,
+                       "update_nearest_ordered");
+  folded_ = true;
+}
+
+void NearestSweep::fold(std::span<const index_t> centers) {
+  if (grid_ == nullptr) {
+    oracle_->update_nearest_multi(ids_, centers, best_);
+    return;
+  }
+  if (centers.empty()) return;
+  oracle_->pruned_scan(centers, best_, folded_ ? &bounds_ : nullptr,
+                       "update_nearest_multi_ordered");
+  folded_ = true;
+}
+
+NearestSweep::Farthest NearestSweep::farthest() const noexcept {
+  const std::size_t pos =
+      grid_ != nullptr ? argmax_smallest_id(best_, ids_) : argmax(best_);
+  return {ids_[pos], best_[pos]};
 }
 
 void DistanceOracle::update_nearest(std::span<const index_t> ids,

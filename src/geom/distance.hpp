@@ -33,7 +33,6 @@ struct ChunkContext;
 namespace kc {
 
 class SpatialIndex;
-class PruneCache;
 class SampleBoxes;
 
 /// Default minimum scan length before a bulk kernel shards across an
@@ -42,7 +41,7 @@ class SampleBoxes;
 inline constexpr std::size_t kShardMinItems = std::size_t{1} << 14;
 
 /// Whether the oracle may skip provably irrelevant pairs: whole-set
-/// scans through a bound spatial index's ordered scans, and EIM's
+/// sweeps (NearestSweep) on a bound spatial index's grid, and EIM's
 /// nearest-sample scans through sample boxes (geom/spatial_index.hpp).
 enum class PruneMode {
   Off,   ///< never prune; the exact pre-index code path
@@ -122,18 +121,16 @@ class DistanceOracle {
   }
 
   /// Binds (or, with nullptr, unbinds) a spatial index built over this
-  /// oracle's PointSet. With an index bound and `mode` not Off, callers
-  /// whose scan covers the whole point set (GON's sweeps, the offline
-  /// covering radius, HS's radius pass) may run the ordered scans below,
-  /// which skip whole grid cells the triangle inequality proves
-  /// irrelevant — bit-identical values, with the skipped pairs charged
-  /// to counters as pruned_pairs instead of distance_evals; they ask
-  /// ordered_scans_available(ids) first. update_nearest and
+  /// oracle's PointSet. With an index bound and `mode` not Off, a
+  /// NearestSweep over the whole point set (GON's sweeps, the offline
+  /// covering radius, HS's radius pass) runs on the grid, skipping
+  /// whole cells the triangle inequality proves irrelevant:
+  /// bit-identical values, with the skipped pairs charged to counters
+  /// as pruned_pairs instead of distance_evals. update_nearest and
   /// update_nearest_multi never prune. A mismatched index or the
-  /// KC_FORCE_NO_PRUNE environment variable leaves no ordered scans,
-  /// so callers keep the exact id-order path. The oracle does not own
-  /// the index. The mode also governs sample_boxes_enabled(), with or
-  /// without an index.
+  /// KC_FORCE_NO_PRUNE environment variable leaves every sweep on the
+  /// exact id-order path. The oracle does not own the index. The mode
+  /// also governs sample_boxes_enabled(), with or without an index.
   void bind_index(const SpatialIndex* index,
                   PruneMode mode = PruneMode::Auto) noexcept {
     index_ = index;
@@ -211,36 +208,6 @@ class DistanceOracle {
                               const SampleBoxes& boxes,
                               std::span<double> best) const;
 
-  /// True when a scan over `ids` may run as an ordered scan: `ids` is
-  /// the whole point set in id order (what all_indices() returns), an
-  /// index over this oracle's points is bound, the mode is not Off and
-  /// KC_FORCE_NO_PRUNE does not veto. Every caller that could prune
-  /// asks this, so none re-derives "whole set".
-  [[nodiscard]] bool ordered_scans_available(
-      std::span<const index_t> ids) const noexcept;
-
-  /// Cell-order ("ordered") variants of the two scans above, the only
-  /// scans that prune on the grid: element j of `best_ordered` belongs
-  /// to point spatial_index()->order()[j], so every grid cell is a
-  /// contiguous slice that the scan folds kernels straight into, and
-  /// skips when the cell's box is no nearer than the slice's maximum.
-  /// The folded *values* are bit-identical to what
-  /// update_nearest(all_indices(), ...) leaves at the permuted
-  /// positions; evaluated plus pruned pairs sum to its count, and
-  /// context gating behaves the same, under these scans' own labels.
-  /// Callers must check ordered_scans_available(ids) first (throws
-  /// std::logic_error otherwise) and fall back to the id-order scans —
-  /// that is what keeps KC_FORCE_NO_PRUNE an exact-path switch.
-  ///
-  /// `cache` (optional) carries per-cell bounds across a sequence of
-  /// ordered scans that share one best array — see PruneCache's
-  /// lifetime contract.
-  void update_nearest_ordered(index_t center, std::span<double> best_ordered,
-                              PruneCache* cache = nullptr) const;
-  void update_nearest_multi_ordered(std::span<const index_t> centers,
-                                    std::span<double> best_ordered,
-                                    PruneCache* cache = nullptr) const;
-
   /// Receives one dense tile of comparable distances from the tiled
   /// pairwise engine: `tile[r * ldt + c]` is the comparable distance
   /// between a-point `i0 + r` and b-point `j0 + c` (indices into the
@@ -291,10 +258,6 @@ class DistanceOracle {
     return static_cast<std::size_t>(kind_);
   }
 
-  /// True when the ordered domain exists: pruning is permitted and the
-  /// bound index covers this oracle's non-empty point set.
-  [[nodiscard]] bool ordered_domain() const noexcept;
-
   /// The exact id-order blocked scan behind update_nearest (a
   /// one-center span) and update_nearest_multi. A stop raises labelled
   /// `where`.
@@ -302,14 +265,18 @@ class DistanceOracle {
                     std::span<const index_t> centers, std::span<double> best,
                     std::string_view where) const;
 
-  /// The cell-pruned scan body of both ordered scans: `best` is in the
-  /// index's cell order and folded in place (throws std::logic_error
-  /// labelled `where` unless ordered_domain() and best covers the point
-  /// set). Charges
+  /// A NearestSweep's fold on the grid: `best` is in the bound index's
+  /// cell order and folded in place, skipping each cell whose box is no
+  /// nearer than the cell's bound. With `bounds` null, `best` is all
+  /// +inf and no bound outlives the scan; otherwise `*bounds` holds
+  /// one upper bound per cell (empty: derived from `best` as the scan
+  /// reaches each cell) and is left at each cell's maximum. Charges
   /// evaluated and pruned pairs to the calling thread's counters from
-  /// what actually ran.
+  /// what actually ran; a stop raises labelled `where`.
   void pruned_scan(std::span<const index_t> centers, std::span<double> best,
-                   PruneCache* cache, std::string_view where) const;
+                   std::vector<double>* bounds, std::string_view where) const;
+
+  friend class NearestSweep;
 
   const PointSet* points_;
   MetricKind kind_;
@@ -323,6 +290,66 @@ class DistanceOracle {
   const simd::KernelTable* kernels_ = &simd::active_kernels();
 };
 
+/// The nearest-center distance of every point of one subset, folded
+/// center by center: GON's sweeps, the offline covering radius and HS's
+/// radius pass. Every value starts at kInfDist. The constructor decides
+/// once where the folds run. On the grid when the oracle has a bound
+/// index over its points, the mode is not Off, KC_FORCE_NO_PRUNE does
+/// not veto, and `pts` is the whole point set in id order: values()
+/// then sit in the index's cell order and each fold skips the cells
+/// whose box is no nearer than the cell's bound. Otherwise in `pts`
+/// order through the exact scans. The values are bit-identical either
+/// way, and evaluated plus pruned pairs sum to the id-order count.
+///
+/// A fold is gated like every bulk scan of the oracle. A stop raises
+/// under the scan's label: update_nearest or update_nearest_multi in
+/// id order, update_nearest_ordered or update_nearest_multi_ordered on
+/// the grid. A stopped sweep must not be used again. The sweep keeps
+/// one bound per cell from its second fold on (the first starts from
+/// +inf, where nothing prunes): derived from values() as that fold
+/// reaches each cell, then refreshed from each cell it scans, so after
+/// every completed fold from the second on, cell_bounds()[c] is the
+/// maximum of cell c's values, bit for bit.
+///
+/// Holds views of the oracle and of `pts`; both must outlive the sweep.
+class NearestSweep {
+ public:
+  NearestSweep(const DistanceOracle& oracle, std::span<const index_t> pts);
+
+  /// Folds one center, or a batch of centers, into every value.
+  void fold(index_t center);
+  void fold(std::span<const index_t> centers);
+
+  struct Farthest {
+    index_t id = 0;           ///< the point
+    double comparable = 0.0;  ///< its value
+  };
+  /// The point with the largest value: of the points at the maximum,
+  /// the one that comes first in `pts`, on the grid as in id order.
+  [[nodiscard]] Farthest farthest() const noexcept;
+
+  [[nodiscard]] bool on_grid() const noexcept { return grid_ != nullptr; }
+  /// values()[j] belongs to point ids()[j]: the index's order() on the
+  /// grid, `pts` otherwise.
+  [[nodiscard]] std::span<const double> values() const noexcept {
+    return best_;
+  }
+  [[nodiscard]] std::span<const index_t> ids() const noexcept { return ids_; }
+  /// One bound per grid cell; empty off the grid and before the second
+  /// fold.
+  [[nodiscard]] std::span<const double> cell_bounds() const noexcept {
+    return bounds_;
+  }
+
+ private:
+  const DistanceOracle* oracle_;
+  const SpatialIndex* grid_ = nullptr;  ///< the oracle's index, on the grid
+  std::span<const index_t> ids_;
+  std::vector<double> best_;
+  std::vector<double> bounds_;  ///< per cell; empty until the second fold
+  bool folded_ = false;         ///< a fold with centers has run
+};
+
 /// Position of the maximum element (first on ties); spans must be
 /// non-empty and NaN-free (distance arrays always are). Vectorized via
 /// the active kernel table.
@@ -330,10 +357,9 @@ class DistanceOracle {
 
 /// Position of a maximum element of `values`, where values[j] belongs to
 /// point ids[j] (same length, non-empty, NaN-free): of the positions
-/// holding the maximum, the one with the smallest id. On a best[] in
-/// cell order this picks the point the id-order argmax picks, so GON's
-/// next center and the covering-radius witness do not depend on the
-/// scan's domain.
+/// holding the maximum, the one with the smallest id. On values in
+/// cell order this picks the point the id-order argmax picks, so
+/// NearestSweep::farthest does not depend on where the sweep runs.
 [[nodiscard]] std::size_t argmax_smallest_id(
     std::span<const double> values, std::span<const index_t> ids) noexcept;
 

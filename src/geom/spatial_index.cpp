@@ -67,8 +67,8 @@ double probe_radius(const PointSet& pts) noexcept {
 /// an open-addressing hash set over the snapped keys, so counting a
 /// width's occupied cells is one O(n * dim) pass with no sort and no
 /// per-point key storage. The numbering is hash-independent (first
-/// occurrence in id order), so nothing the index exposes depends on
-/// the hash function.
+/// occurrence in walk order), so nothing the index or the coreset
+/// exposes depends on the hash function.
 class CellTable {
  public:
   explicit CellTable(std::size_t dim)
@@ -86,12 +86,18 @@ class CellTable {
     const std::size_t n = pts.size();
     const double* row = pts.raw().data();
     for (std::size_t i = 0; i < n; ++i, row += dim_) {
-      grid_cell_key({row, dim_}, w, key_);
-      const std::uint32_t id = find_or_insert();
+      const std::uint32_t id = insert(row, w);
       if (hashes_.size() > limit) return hashes_.size();
       if (first_seen != nullptr) first_seen[i] = id;
     }
     return hashes_.size();
+  }
+
+  /// Snaps the point at `row` (dim coordinates) at width `w` and returns
+  /// the number of its key: a key not seen before gets the next number.
+  std::uint32_t insert(const double* row, double w) {
+    grid_cell_key({row, dim_}, w, key_);
+    return find_or_insert();
   }
 
   /// The dim coordinates of key number `id`.
@@ -159,6 +165,19 @@ class CellTable {
 };
 
 }  // namespace
+
+std::vector<index_t> first_point_per_cell(const PointSet& points,
+                                          std::span<const index_t> ids,
+                                          double w, std::size_t limit) {
+  CellTable table(points.dim());
+  std::vector<index_t> firsts;
+  for (const index_t id : ids) {
+    if (table.insert(points.data(id), w) < firsts.size()) continue;
+    firsts.push_back(id);
+    if (firsts.size() > limit) break;
+  }
+  return firsts;
+}
 
 SpatialIndex::SpatialIndex(const PointSet& points)
     : points_(&points), dim_(points.dim()) {

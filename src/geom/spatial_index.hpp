@@ -5,10 +5,13 @@
 // Most of those pairs provably cannot change the result: once a point
 // has *some* nearby center, a candidate center far away loses every
 // comparison. This index makes that provable wholesale — per grid
-// cell, not per pair — so the scans that cover the whole point set
-// (GON's sweeps, the offline covering radius, HS's radius pass) run as
-// the oracle's ordered scans and skip entire cells without looking at
-// a single coordinate inside them.
+// cell, not per pair — so a NearestSweep (geom/distance.hpp) over the
+// whole point set (GON's sweeps, the offline covering radius, HS's
+// radius pass) skips entire cells without looking at a single
+// coordinate inside them. Which scans run on the grid, and how it
+// orders, bounds and snaps points, is decided here and in
+// geom/distance.cpp only; the rest of the library sees a NearestSweep
+// and, for CCM's coreset, first_point_per_cell.
 //
 // Structure: points are snapped to a uniform grid (cell width
 // auto-tuned from a GON-style radius probe over the data), and the
@@ -19,8 +22,8 @@
 // fast path. Per cell the exact coordinate-wise bounding box of its
 // members is stored.
 //
-// The pruning rule, Elkan-style via the triangle inequality: during an
-// ordered scan, best[] is laid out in order(), and a cell's *upper
+// The pruning rule, Elkan-style via the triangle inequality: on the
+// grid, a sweep's best[] is laid out in order(), and a cell's *upper
 // bound* is the maximum of its contiguous slice of best[]. If a
 // candidate center's distance to the cell's bounding box is at least
 // that bound,
@@ -58,8 +61,8 @@
 namespace kc {
 
 // ---------------------------------------------------------------------------
-// Grid snapping helpers, shared with core/ccm.cpp's coreset grid so the
-// two grids cannot drift.
+// Grid snapping: the index and CCM's coreset (first_point_per_cell)
+// snap through the same helpers, so the two grids cannot drift.
 
 /// Clamp bound for snapped cell coordinates: a coordinate huge relative
 /// to the width (e.g. a tiny width under far-flung outliers) must
@@ -72,6 +75,17 @@ inline constexpr double kGridCoordClamp = 9.0e18;
 /// Fills `key` (dim entries) with the cell coordinates of point `p`.
 void grid_cell_key(std::span<const double> p, double w,
                    std::span<std::int64_t> key) noexcept;
+
+/// The first point of each occupied grid cell of width `w`, in `ids`
+/// order: `ids` (ids into `points`) is walked once, and a point is kept
+/// when its cell has not been seen before. Stops once more than `limit`
+/// cells are occupied, so the result has limit + 1 entries exactly when
+/// the cells of `ids` outnumber `limit`. Cell keys are exact (snapped
+/// with grid_cell_key, compared coordinate by coordinate), so the
+/// result does not depend on hashing. Spends no distance evaluations.
+[[nodiscard]] std::vector<index_t> first_point_per_cell(
+    const PointSet& points, std::span<const index_t> ids, double w,
+    std::size_t limit);
 
 /// True when the KC_FORCE_NO_PRUNE environment variable requests that
 /// spatial pruning be disabled (set and not "0"). Read once per process.
@@ -248,39 +262,6 @@ class SpatialIndex {
   std::vector<std::size_t> cell_begin_; ///< cell_count() + 1 offsets
   CoordStorage rows_;                   ///< permuted coordinate rows
   std::vector<double> bbox_;            ///< per cell: dim lows, dim highs
-};
-
-/// Per-cell cached upper bounds for a *sequence* of ordered scans that
-/// share one best[] array — the Gonzalez shape, where each round calls
-/// update_nearest_ordered with one new center on the same best[].
-/// Skipped cells keep their cached bound (their best[] entries were not
-/// touched); scanned cells refresh it from the values just written, so
-/// across the sequence no full re-derivation of the bounds is needed.
-/// After every completed scan that used the cache, bounds()[c] is
-/// exactly, bit for bit, the maximum of cell c's slice of best[].
-///
-/// Lifetime contract: a cache is only valid while the paired best[]
-/// array exists, is only mutated through the oracle's ordered scans
-/// given this cache, and is never re-initialized. The first scan that
-/// uses it primes it from best[]. A scan stopped by its context may
-/// leave a cell's bound above the slice's maximum: still a valid upper
-/// bound, no longer an exact one.
-class PruneCache {
- public:
-  explicit PruneCache(const SpatialIndex& index)
-      : index_(&index), ub_(index.cell_count(), kInfDist) {}
-
-  [[nodiscard]] const SpatialIndex* index() const noexcept { return index_; }
-  [[nodiscard]] bool primed() const noexcept { return primed_; }
-
-  /// Oracle-internal access to the per-cell bounds.
-  [[nodiscard]] std::span<double> bounds() noexcept { return ub_; }
-  void set_primed() noexcept { primed_ = true; }
-
- private:
-  const SpatialIndex* index_;
-  std::vector<double> ub_;
-  bool primed_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -204,7 +204,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, GatedScans,
 // A stopped scan's error names the public scan, as the CLI and service
 // print it. update_nearest runs update_nearest_multi's body, so each
 // keeps its own label, with or without an index bound (neither prunes);
-// the ordered scans, the only pruned ones, carry their own labels too.
+// a sweep's folds on the grid, the only pruned ones, carry their own
+// labels too, and off it (under KC_FORCE_NO_PRUNE) the id-order ones.
 TEST(GatedScanLabels, BudgetErrorsNameTheScanThatStopped) {
   Rng rng(14);
   const PointSet data = data::generate_gau(4096, 4, 2, 100.0, 0.5, rng);
@@ -239,18 +240,19 @@ TEST(GatedScanLabels, BudgetErrorsNameTheScanThatStopped) {
               "update_nearest_multi: distance-evaluation budget exhausted");
   }
 
-  if (!oracle.ordered_scans_available(ids)) {
-    GTEST_SKIP() << "KC_FORCE_NO_PRUNE leaves no ordered scans";
-  }
-  EXPECT_EQ(message([&](std::vector<double>& best) {
-              oracle.update_nearest_ordered(0, best);
+  const bool grid = !force_no_prune_requested();
+  ASSERT_EQ(NearestSweep(oracle, ids).on_grid(), grid);
+  EXPECT_EQ(message([&](std::vector<double>&) {
+              NearestSweep(oracle, ids).fold(0);
             }),
-            "update_nearest_ordered: distance-evaluation budget exhausted");
-  EXPECT_EQ(
-      message([&](std::vector<double>& best) {
-        oracle.update_nearest_multi_ordered(centers, best);
-      }),
-      "update_nearest_multi_ordered: distance-evaluation budget exhausted");
+            grid ? "update_nearest_ordered: distance-evaluation budget exhausted"
+                 : "update_nearest: distance-evaluation budget exhausted");
+  EXPECT_EQ(message([&](std::vector<double>&) {
+              NearestSweep(oracle, ids).fold(centers);
+            }),
+            grid ? "update_nearest_multi_ordered: distance-evaluation budget "
+                   "exhausted"
+                 : "update_nearest_multi: distance-evaluation budget exhausted");
 }
 
 // The tile streams, the sample-box scan, the evaluation passes and

@@ -11,6 +11,7 @@
 
 #include "compat/thread_safety.hpp"
 #include "geom/kernels.hpp"
+#include "geom/spatial_index.hpp"
 
 namespace fixture {
 
@@ -67,6 +68,19 @@ inline double sneak_distance(const double* a, const double* b,
 inline const kc::simd::KernelTable* sneak_table() {
   // expect: raw-kernel
   return kc::simd::kernels_for(kc::simd::IsaLevel::Scalar);
+}
+
+// Grid internals reached from outside src/geom/: the bound index's
+// cell runs, and the snapping helpers. Code here cannot know which scans
+// the grid serves or how it orders them.
+inline std::size_t sneak_first_cell(const kc::DistanceOracle& oracle) {
+  // expect: grid-internals
+  return oracle.spatial_index()->cell_size(0);
+}
+
+inline void sneak_snap(std::span<const double> p, std::span<std::int64_t> key) {
+  // expect: grid-internals
+  kc::grid_cell_key(p, 0.5, key);
 }
 
 // A waiver with no reason is itself a finding, and suppresses nothing.

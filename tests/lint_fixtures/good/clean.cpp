@@ -8,6 +8,7 @@
 
 #include "compat/thread_safety.hpp"
 #include "geom/distance.hpp"
+#include "geom/spatial_index.hpp"
 
 namespace fixture {
 
@@ -63,6 +64,23 @@ inline double oracle_distance(const kc::DistanceOracle& oracle,
   return oracle.distance(a, b);
 }
 inline const char* kernel_note() { return "scans never call kernels_for()"; }
+
+// A whole-set scan through NearestSweep, which decides whether the grid
+// serves it, and a coreset snapped through first_point_per_cell. Naming
+// grid_cell_key in a comment, or spatial_index() in a string, reaches
+// no cell.
+inline double farthest_value(const kc::DistanceOracle& oracle,
+                             std::span<const kc::index_t> pts,
+                             kc::index_t center) {
+  kc::NearestSweep sweep(oracle, pts);
+  sweep.fold(center);
+  return sweep.farthest().comparable;
+}
+inline std::vector<kc::index_t> coreset(const kc::PointSet& points,
+                                        std::span<const kc::index_t> part) {
+  return kc::first_point_per_cell(points, part, 0.5, 64);
+}
+inline const char* grid_note() { return "never call spatial_index() here"; }
 
 // A waived wall-clock use, with a written reason.
 inline long log_stamp() {

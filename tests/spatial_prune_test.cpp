@@ -12,7 +12,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -64,6 +66,18 @@ PointSet make_input(int shape, std::size_t n, std::size_t dim, Rng& rng) {
 
 const char* shape_name(int shape) {
   return shape == 0 ? "clustered" : shape == 1 ? "uniform" : "duplicates";
+}
+
+/// `count` distinct ids from [lo, lo + range), in random order.
+std::vector<index_t> shuffled_ids(std::size_t lo, std::size_t range,
+                                  std::size_t count, Rng& rng) {
+  std::vector<index_t> ids(range);
+  std::iota(ids.begin(), ids.end(), static_cast<index_t>(lo));
+  for (std::size_t i = 0; i < count; ++i) {
+    std::swap(ids[i], ids[i + rng.uniform_int(range - i)]);
+  }
+  ids.resize(count);
+  return ids;
 }
 
 // ------------------------------------------------------- index structure
@@ -119,6 +133,78 @@ TEST(SpatialIndex, CellsPartitionPointsAndBoxesContainMembers) {
       for (const bool s : seen) EXPECT_TRUE(s);
     }
   }
+}
+
+/// Reference coreset snapping: the std::map loop CCM's grid round ran
+/// before it shared the index's cell table, kept for this test only.
+/// The first point of each cell of width `w`, in `ids` order, with exact
+/// keys, stopping once more than `limit` cells are occupied.
+std::vector<index_t> reference_first_per_cell(const PointSet& points,
+                                              std::span<const index_t> ids,
+                                              double w, std::size_t limit) {
+  std::vector<index_t> reps;
+  std::map<std::vector<std::int64_t>, index_t> cells;
+  std::vector<std::int64_t> key(points.dim());
+  for (const index_t id : ids) {
+    grid_cell_key(points[id], w, key);
+    if (cells.try_emplace(key, id).second) {
+      reps.push_back(id);
+      if (reps.size() > limit) break;
+    }
+  }
+  return reps;
+}
+
+/// first_point_per_cell against the reference: the same points in the
+/// same order uncapped, and under limits below, at and above the cell
+/// count, the reference's first limit + 1 exactly when the cells
+/// outnumber the limit.
+void expect_same_firsts(const PointSet& pts, std::span<const index_t> ids,
+                        double w) {
+  const std::vector<index_t> all =
+      reference_first_per_cell(pts, ids, w, ids.size());
+  ASSERT_EQ(first_point_per_cell(pts, ids, w, ids.size()), all);
+  const std::size_t cells = all.size();
+  for (const std::size_t limit :
+       {std::size_t{0}, cells / 2, cells - 1, cells, cells + 1}) {
+    SCOPED_TRACE("limit=" + std::to_string(limit) + " of " +
+                 std::to_string(cells) + " cells");
+    const std::vector<index_t> got = first_point_per_cell(pts, ids, w, limit);
+    const std::size_t want = cells > limit ? limit + 1 : cells;
+    ASSERT_EQ(got.size(), want);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), all.begin()));
+  }
+}
+
+TEST(SpatialIndex, FirstPointPerCellMatchesTheMapReference) {
+  Rng rng(606);
+  for (int shape = 0; shape < 3; ++shape) {
+    for (std::size_t dim = 1; dim <= 8; ++dim) {
+      const std::size_t n = 1200;
+      const PointSet pts = make_input(shape, n, dim, rng);
+      // A block of ids in id order (a Block partition's part), and every
+      // id shuffled (a Random partition's).
+      const std::vector<index_t> all = pts.all_indices();
+      const std::vector<index_t> shuffled = shuffled_ids(0, n, n, rng);
+      for (const double w : {0.05, 1.0, 20.0}) {
+        SCOPED_TRACE(std::string(shape_name(shape)) + " dim=" +
+                     std::to_string(dim) + " w=" + std::to_string(w));
+        expect_same_firsts(pts, std::span<const index_t>(all).subspan(300, 700),
+                           w);
+        expect_same_firsts(pts, shuffled, w);
+      }
+    }
+  }
+
+  // Coordinates huge against the width saturate the clamp, so far-apart
+  // points share a key: only |x| below ~9e-12 snaps unclamped here.
+  SCOPED_TRACE("saturated keys");
+  constexpr double kCoords[6] = {1e300, -1e300, 0.0, 5e-12, -5e-12, 1.0};
+  PointSet huge(500, 3);
+  for (index_t i = 0; i < huge.size(); ++i) {
+    for (double& c : huge.mutable_point(i)) c = kCoords[rng.uniform_int(6)];
+  }
+  expect_same_firsts(huge, shuffled_ids(0, 500, 500, rng), 1e-30);
 }
 
 // ------------------------------------------------ reference construction
@@ -398,18 +484,6 @@ const char* boxed_shape_name(int shape) {
                       : "signed-zeros";
 }
 
-/// `count` distinct ids from [lo, lo + range), in random order.
-std::vector<index_t> shuffled_ids(std::size_t lo, std::size_t range,
-                                  std::size_t count, Rng& rng) {
-  std::vector<index_t> ids(range);
-  std::iota(ids.begin(), ids.end(), static_cast<index_t>(lo));
-  for (std::size_t i = 0; i < count; ++i) {
-    std::swap(ids[i], ids[i + rng.uniform_int(range - i)]);
-  }
-  ids.resize(count);
-  return ids;
-}
-
 TEST(SampleBoxes, SplitKeepsInputOrderExactBoxesAndPaddedRows) {
   Rng rng(57);
   for (const std::size_t dim : {1u, 3u, 10u}) {
@@ -520,23 +594,23 @@ class PrunedScans : public ::testing::TestWithParam<exec::BackendKind> {};
 
 /// Bitwise: slot j of a cell-order `got` must hold element order[j] of
 /// the id-order `want`.
-void expect_permuted_bit_identical(const std::vector<double>& got,
+void expect_permuted_bit_identical(std::span<const double> got,
                                    const std::vector<double>& want,
                                    std::span<const index_t> order) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t j = 0; j < got.size(); ++j) {
     ASSERT_EQ(std::bit_cast<std::uint64_t>(got[j]),
               std::bit_cast<std::uint64_t>(want[order[j]]))
-        << "ordered slot " << j << " (point " << order[j] << ")";
+        << "cell-order slot " << j << " (point " << order[j] << ")";
   }
 }
 
 TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
-  // The ordered scans fold into best[] laid out in the index's cell
-  // order: best_ordered[j] belongs to point order()[j]. The values must
+  // A sweep on the grid folds into values laid out in the index's cell
+  // order: values()[j] belongs to point order()[j]. The values must
   // still be bitwise those of the plain id-order scan — the permutation
   // and the skipped pairs are the only differences.
-  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
+  if (force_no_prune_requested()) GTEST_SKIP() << "no sweep runs on the grid";
   const auto backend = exec::make_backend(GetParam(), 4);
 
   Rng rng(2024);
@@ -562,18 +636,18 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
         DistanceOracle pruned(pts, kind);
         pruned.bind_executor(backend.get(), /*min_items=*/256);
         pruned.bind_index(&index, PruneMode::On);
-        ASSERT_TRUE(pruned.ordered_scans_available(ids));
 
         // Multi scan from fresh infinity (covering-radius shape).
         std::vector<double> want(n, kInfDist);
-        std::vector<double> got(n, kInfDist);
+        NearestSweep got(pruned, ids);
+        ASSERT_TRUE(got.on_grid());
         const WorkScope plain_work;
         plain.update_nearest_multi(ids, centers, want);
         const WorkCounters plain_elapsed = plain_work.elapsed();
         const WorkScope pruned_work;
-        pruned.update_nearest_multi_ordered(centers, got);
+        got.fold(centers);
         const WorkCounters pruned_elapsed = pruned_work.elapsed();
-        expect_permuted_bit_identical(got, want, index.order());
+        expect_permuted_bit_identical(got.values(), want, index.order());
 
         // Work accounting: never more evals than unpruned, and the
         // evaluated/pruned split sums to the unpruned total.
@@ -581,20 +655,18 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
         EXPECT_EQ(pruned_elapsed.distance_evals + pruned_elapsed.pruned_pairs,
                   plain_elapsed.distance_evals);
 
-        // Gonzalez-shaped sequence: one best[], one center per sweep,
-        // cached bounds carried across sweeps.
-        PruneCache cache(index);
+        // Gonzalez-shaped sequence: one sweep, one center per fold,
+        // cell bounds carried across folds.
+        NearestSweep got_seq(pruned, ids);
         std::vector<double> want_seq(n, kInfDist);
-        std::vector<double> got_seq(n, kInfDist);
         const WorkScope seq_work;
-        for (const index_t c : centers) {
-          pruned.update_nearest_ordered(c, got_seq, &cache);
-        }
+        for (const index_t c : centers) got_seq.fold(c);
         const WorkCounters seq_elapsed = seq_work.elapsed();
         for (const index_t c : centers) {
           plain.update_nearest(ids, c, want_seq);
         }
-        expect_permuted_bit_identical(got_seq, want_seq, index.order());
+        expect_permuted_bit_identical(got_seq.values(), want_seq,
+                                      index.order());
         EXPECT_EQ(seq_elapsed.distance_evals + seq_elapsed.pruned_pairs,
                   std::uint64_t{n} * centers.size());
       }
@@ -602,12 +674,12 @@ TEST_P(PrunedScans, BitIdenticalToUnprunedAcrossShapesMetricsAndDims) {
   }
 }
 
-/// The PruneCache contract: after a completed ordered scan that used the
-/// cache, each cell's bound is the maximum of its slice of best[], bit
-/// for bit.
-void expect_exact_bounds(PruneCache& cache, const SpatialIndex& index,
-                         const std::vector<double>& best) {
-  const std::span<const double> ub = cache.bounds();
+/// The sweep's bound contract: after every completed fold from the
+/// second on, each cell's bound is the maximum of its values, bit for
+/// bit.
+void expect_exact_bounds(const NearestSweep& sweep, const SpatialIndex& index) {
+  const std::span<const double> ub = sweep.cell_bounds();
+  const std::span<const double> best = sweep.values();
   ASSERT_EQ(ub.size(), index.cell_count());
   for (std::size_t c = 0; c < index.cell_count(); ++c) {
     const auto first =
@@ -621,10 +693,11 @@ void expect_exact_bounds(PruneCache& cache, const SpatialIndex& index,
 }
 
 TEST_P(PrunedScans, CacheBoundsAreEachCellsExactMaximum) {
-  // GON's argmax from the cache will rely on this: a scanned cell
-  // refreshes its bound from its slice, and a skipped cell's bound is
-  // untouched, like its slice.
-  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
+  // GON's argmax from the bounds will rely on this: a scanned cell
+  // refreshes its bound from its values, and a skipped cell's bound is
+  // untouched, like its values. The first fold starts from +inf, where
+  // nothing prunes, so it keeps no bounds; the second derives them.
+  if (force_no_prune_requested()) GTEST_SKIP() << "no sweep runs on the grid";
   const auto backend = exec::make_backend(GetParam(), 4);
 
   Rng rng(2029);
@@ -633,6 +706,7 @@ TEST_P(PrunedScans, CacheBoundsAreEachCellsExactMaximum) {
       const std::size_t n = 20'000;
       const PointSet pts = make_input(shape, n, dim, rng);
       const SpatialIndex index(pts);
+      const std::vector<index_t> ids = pts.all_indices();
       std::vector<index_t> centers(24);
       for (auto& c : centers) c = static_cast<index_t>(rng.uniform_int(n));
       const std::span<const index_t> all(centers);
@@ -645,28 +719,34 @@ TEST_P(PrunedScans, CacheBoundsAreEachCellsExactMaximum) {
         oracle.bind_executor(backend.get(), /*min_items=*/256);
         oracle.bind_index(&index, PruneMode::On);
 
-        // GON-shaped: one center per scan on one best[] and one cache,
-        // then a multi-center scan on the same pair.
-        PruneCache sweeps(index);
-        std::vector<double> best(n, kInfDist);
+        // GON-shaped: one center per fold on one sweep, then a
+        // multi-center fold on the same sweep.
+        NearestSweep sweeps(oracle, ids);
+        ASSERT_TRUE(sweeps.on_grid());
         const WorkScope work;
-        for (const index_t c : all.first(16)) {
-          oracle.update_nearest_ordered(c, best, &sweeps);
-          expect_exact_bounds(sweeps, index, best);
+        for (std::size_t f = 0; f < 16; ++f) {
+          sweeps.fold(all[f]);
+          if (f == 0) {
+            EXPECT_TRUE(sweeps.cell_bounds().empty());
+          } else {
+            expect_exact_bounds(sweeps, index);
+          }
         }
-        oracle.update_nearest_multi_ordered(all.subspan(16), best, &sweeps);
-        expect_exact_bounds(sweeps, index, best);
+        sweeps.fold(all.subspan(16));
+        expect_exact_bounds(sweeps, index);
         if (shape == 0) {
           EXPECT_GT(work.elapsed().pruned_pairs, 0u);
         }
 
-        // Cold multi-center scans priming a fresh cache: more centers
-        // than one block, and fewer (the global pass folds them all).
+        // Cold multi-center first folds, more centers than one block and
+        // fewer (the global pass folds them all); the next fold derives
+        // the bounds from what they left.
         for (const std::size_t k : {centers.size(), std::size_t{3}}) {
-          PruneCache cold(index);
-          std::vector<double> fresh(n, kInfDist);
-          oracle.update_nearest_multi_ordered(all.first(k), fresh, &cold);
-          expect_exact_bounds(cold, index, fresh);
+          NearestSweep cold(oracle, ids);
+          cold.fold(all.first(k));
+          EXPECT_TRUE(cold.cell_bounds().empty());
+          cold.fold(all.last(3));
+          expect_exact_bounds(cold, index);
         }
       }
     }
@@ -804,59 +884,41 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, PrunedScans,
                            return std::string(exec::to_string(param_info.param));
                          });
 
-// -------------------------------------------------------- ordered domain
+// ------------------------------------------------------------ grid domain
 
 TEST(OrderedScans, RequireAMatchingBoundIndex) {
   Rng rng(910);
   const PointSet pts = data::generate_gau(2000, 8, 2, 100.0, 0.1, rng);
   const std::vector<index_t> ids = pts.all_indices();
-  std::vector<double> best(pts.size(), kInfDist);
-  const index_t centers[2] = {0, 1};
 
-  // No index bound: the ordered domain does not even exist, so the
-  // scans refuse rather than silently fall back to id order (the caller
-  // would misread the result's layout).
+  // No index bound: the grid does not even exist.
   DistanceOracle bare(pts);
-  EXPECT_FALSE(bare.ordered_scans_available(ids));
-  EXPECT_THROW(bare.update_nearest_ordered(0, best), std::logic_error);
-  EXPECT_THROW(bare.update_nearest_multi_ordered(centers, best),
-               std::logic_error);
+  EXPECT_FALSE(NearestSweep(bare, ids).on_grid());
 
-  // Index bound but pruning off: same contract.
+  // Index bound but pruning off: same.
   const SpatialIndex index(pts);
   DistanceOracle off(pts);
   off.bind_index(&index, PruneMode::Off);
-  EXPECT_FALSE(off.ordered_scans_available(ids));
-  EXPECT_THROW(off.update_nearest_ordered(0, best), std::logic_error);
+  EXPECT_FALSE(NearestSweep(off, ids).on_grid());
 
-  // An index over another point set of the same size: same contract.
+  // An index over another point set of the same size: same.
   const PointSet other = data::generate_gau(2000, 8, 2, 100.0, 0.1, rng);
   const SpatialIndex foreign(other);
   DistanceOracle mismatched(pts);
   mismatched.bind_index(&foreign, PruneMode::On);
-  EXPECT_FALSE(mismatched.ordered_scans_available(ids));
-  EXPECT_THROW(mismatched.update_nearest_multi_ordered(centers, best),
-               std::logic_error);
+  EXPECT_FALSE(NearestSweep(mismatched, ids).on_grid());
 
   // A matching index admits the whole set in id order, and nothing
   // else: no strict subset, no other order.
   DistanceOracle on(pts);
   on.bind_index(&index, PruneMode::On);
-  EXPECT_EQ(on.ordered_scans_available(ids), !force_no_prune_requested());
+  EXPECT_EQ(NearestSweep(on, ids).on_grid(), !force_no_prune_requested());
   const std::span<const index_t> all(ids);
-  EXPECT_FALSE(on.ordered_scans_available({}));
-  EXPECT_FALSE(on.ordered_scans_available(all.first(ids.size() - 1)));
-  EXPECT_FALSE(on.ordered_scans_available(all.subspan(1)));
+  EXPECT_FALSE(NearestSweep(on, {}).on_grid());
+  EXPECT_FALSE(NearestSweep(on, all.first(ids.size() - 1)).on_grid());
+  EXPECT_FALSE(NearestSweep(on, all.subspan(1)).on_grid());
   const std::vector<index_t> reversed(ids.rbegin(), ids.rend());
-  EXPECT_FALSE(on.ordered_scans_available(reversed));
-
-  // Wrong-size best[]: the ordered domain covers the full point set
-  // only.
-  if (on.ordered_scans_available(ids)) {
-    std::vector<double> wrong(pts.size() - 1, kInfDist);
-    EXPECT_THROW(on.update_nearest_multi_ordered(centers, wrong),
-                 std::logic_error);
-  }
+  EXPECT_FALSE(NearestSweep(on, reversed).on_grid());
 }
 
 // ------------------------------------------------------------ fallbacks
@@ -883,7 +945,7 @@ TEST(PrunedScansFallback, PartialRangeScansTakeTheExactUnprunedPath) {
   EXPECT_EQ(scope.elapsed().distance_evals, subset.size());
 
   // The whole set in id order: still the exact scan, which never
-  // prunes — only the ordered scans do.
+  // prunes — only a sweep on the grid does.
   const std::vector<index_t> ids = pts.all_indices();
   std::vector<index_t> centers(12);
   std::iota(centers.begin(), centers.end(), index_t{0});
@@ -907,7 +969,7 @@ TEST(PrunedScansFallback, PruneModeOffKeepsTheUnprunedPathAndCounters) {
   DistanceOracle oracle(pts);
   oracle.bind_index(&index, PruneMode::Off);
   const std::vector<index_t> ids = pts.all_indices();
-  EXPECT_FALSE(oracle.ordered_scans_available(ids));
+  EXPECT_FALSE(NearestSweep(oracle, ids).on_grid());
 
   std::vector<double> best(ids.size(), kInfDist);
   const WorkScope scope;
@@ -919,7 +981,7 @@ TEST(PrunedScansFallback, PruneModeOffKeepsTheUnprunedPathAndCounters) {
 // --------------------------------------------------------- budget/cancel
 
 TEST(PrunedScansGated, BudgetStopsWithinOneGateAndNeverOvercharges) {
-  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
+  if (force_no_prune_requested()) GTEST_SKIP() << "no sweep runs on the grid";
   Rng rng(41);
   const PointSet pts = data::generate_gau(300'000, 16, 2, 100.0, 0.5, rng);
   const SpatialIndex index(pts);
@@ -934,9 +996,8 @@ TEST(PrunedScansGated, BudgetStopsWithinOneGateAndNeverOvercharges) {
   const std::vector<index_t> ids = pts.all_indices();
   std::vector<index_t> centers(16);
   std::iota(centers.begin(), centers.end(), index_t{0});
-  std::vector<double> best(ids.size(), kInfDist);
-  EXPECT_THROW(oracle.update_nearest_multi_ordered(centers, best),
-               BudgetExceededError);
+  NearestSweep sweep(oracle, ids);
+  EXPECT_THROW(sweep.fold(centers), BudgetExceededError);
   // Never overdrawn, and stopped promptly: the pruned scan pre-buys
   // credit in gate batches and refunds the unexecuted remainder on the
   // stop, so consumed() can sit up to ~two gates under the limit but
@@ -946,7 +1007,7 @@ TEST(PrunedScansGated, BudgetStopsWithinOneGateAndNeverOvercharges) {
 }
 
 TEST(PrunedScansGated, CancellationStopsThePrunedScan) {
-  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
+  if (force_no_prune_requested()) GTEST_SKIP() << "no sweep runs on the grid";
   Rng rng(42);
   const PointSet pts = data::generate_gau(100'000, 16, 2, 100.0, 0.5, rng);
   const SpatialIndex index(pts);
@@ -961,13 +1022,12 @@ TEST(PrunedScansGated, CancellationStopsThePrunedScan) {
   const std::vector<index_t> ids = pts.all_indices();
   std::vector<index_t> centers(16);
   std::iota(centers.begin(), centers.end(), index_t{0});
-  std::vector<double> best(ids.size(), kInfDist);
-  EXPECT_THROW(oracle.update_nearest_multi_ordered(centers, best),
-               CancelledError);
+  NearestSweep sweep(oracle, ids);
+  EXPECT_THROW(sweep.fold(centers), CancelledError);
 }
 
 TEST(PrunedScansGated, CompletedGatedScanChargesExactlyItsEvaluatedPairs) {
-  if (force_no_prune_requested()) GTEST_SKIP() << "no ordered scans";
+  if (force_no_prune_requested()) GTEST_SKIP() << "no sweep runs on the grid";
   Rng rng(43);
   const PointSet pts = data::generate_gau(50'000, 16, 2, 100.0, 0.1, rng);
   const SpatialIndex index(pts);
@@ -981,9 +1041,9 @@ TEST(PrunedScansGated, CompletedGatedScanChargesExactlyItsEvaluatedPairs) {
   const std::vector<index_t> ids = pts.all_indices();
   std::vector<index_t> centers(16);
   std::iota(centers.begin(), centers.end(), index_t{0});
-  std::vector<double> best(ids.size(), kInfDist);
+  NearestSweep sweep(oracle, ids);
   const WorkScope scope;
-  oracle.update_nearest_multi_ordered(centers, best);
+  sweep.fold(centers);
   // The budget odometer and the thread-local counters agree exactly on
   // a completed scan: evaluated pairs, with the pruned ones free.
   EXPECT_EQ(ctx.budget->consumed(), scope.elapsed().distance_evals);
@@ -1226,7 +1286,7 @@ TEST(ApiSolverPrune, AutoPrunesBitIdenticallyAndReportsTheSplit) {
 TEST(ApiSolverPrune, HochbaumShmoysPrunesItsRadiusPassBitIdentically) {
   // HS's candidate list is quadratic, so n sits under HS's cap. Auto
   // would not pay for a grid at this k, so On forces it, and HS's final
-  // radius pass runs as an ordered scan over it.
+  // radius pass runs on it.
   Rng rng(2025);
   const PointSet pts = data::generate_gau(4200, 25, 2, 100.0, 0.1, rng);
   api::SolveRequest request = prune_request(pts, "hs", 25, PruneMode::Off);

@@ -32,6 +32,12 @@ Rules (each can be waived per-line, with a written reason):
                  banned outside src/geom/: a scan that calls the kernel
                  tables directly bypasses DistanceOracle's budget,
                  cancellation and pruning gates.
+  grid-internals spatial_index(), grid_cell_key, grid_coord,
+                 cell_begin(, cell_size(, cell_lo( and cell_hi( are
+                 banned outside src/geom/: how the grid orders, bounds
+                 and snaps points is geom's business. Whole-set scans go
+                 through NearestSweep, CCM's coreset through
+                 first_point_per_cell.
   fp-contract    every compile command carrying an ISA flag (-mavx2 /
                  -mavx512f) must also carry -ffp-contract=off, so SIMD
                  kernels cannot FMA-contract away from the scalar
@@ -203,6 +209,10 @@ RAW_KERNEL_RE = re.compile(
     r"\bKernelTable\b|\bactive_kernels\s*\(|\bkernels_for\s*\(")
 KERNEL_HOME = "src/geom/"
 
+GRID_INTERNALS_RE = re.compile(
+    r"\bspatial_index\s*\(\s*\)|\bgrid_cell_key\b|\bgrid_coord\b"
+    r"|\bcell_(?:begin|size|lo|hi)\s*\(")
+
 TSA_OPTOUT_RE = re.compile(r"KC_NO_THREAD_SAFETY_ANALYSIS")
 
 
@@ -283,6 +293,15 @@ def lint_lines(path: Path, rel: str, text: str, findings: list[Finding],
                        "outside src/geom/; route the scan through "
                        "DistanceOracle, which applies the budget, "
                        "cancellation and pruning gates")
+
+        m = GRID_INTERNALS_RE.search(line)
+        if m and not is_comment_or_string(line, m.start()):
+            if not rel.startswith(KERNEL_HOME):
+                report(i, "grid-internals",
+                       f"grid internals '{m.group(0).strip()}' outside "
+                       "src/geom/; run whole-set scans through "
+                       "NearestSweep and snap through "
+                       "first_point_per_cell")
 
         m = TSA_OPTOUT_RE.search(line)
         if m and not is_comment_or_string(line, m.start()) and \
